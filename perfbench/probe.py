@@ -32,12 +32,17 @@ from perfbench.metrics import LatencyHistogram, median, self_times
 class SyscallMeter:
     """Host latency of every top-level simulated syscall while active."""
 
+    #: ``on_tick`` runs after every this many top-level syscalls.
+    TICK_CALLS = 256
+
     def __init__(self) -> None:
         self.active = False
         self.depth = 0
         self.errors = 0
         self.calls = 0
         self.latencies = LatencyHistogram()
+        #: Called between syscalls, outside their timing (speed samples).
+        self.on_tick = None
 
     def wrap(self, fn):
         from repro.fs.errors import FsError
@@ -61,6 +66,8 @@ class SyscallMeter:
                 counts[bucket(clock() - t0)] += 1
                 meter.calls += 1
                 meter.depth = 0
+                if meter.on_tick is not None and not meter.calls % meter.TICK_CALLS:
+                    meter.on_tick()
 
         timed.__wrapped__ = fn
         return timed
@@ -98,7 +105,7 @@ def public_functions(cls) -> list[tuple[str, object]]:
 
 #: Host seconds :func:`reference_seconds` takes on the reference machine
 #: (the 2-vCPU x86-64 VM the bounds in BENCHMARK.json were set on).
-REFERENCE_NOMINAL_S = 0.026
+REFERENCE_NOMINAL_S = 0.020
 
 
 class _Node:
@@ -121,8 +128,9 @@ _REFERENCE_TABLE: dict[int, _Node] = {}
 def reference_seconds() -> float:
     """Host seconds for a fixed pure-Python task shaped like the simulator's
     hot paths: dict probes, attribute reads and writes and method calls over
-    a few MiB of slotted objects.  It runs no simulator code, so no change
-    to the program can move it.
+    a few MiB of slotted objects.  It runs no simulator code, and an untimed
+    pass over its data first pulls that data back into the CPU caches, so
+    the reading depends little on what the simulator left in them.
     """
     table = _REFERENCE_TABLE
     if not table:
@@ -130,6 +138,8 @@ def reference_seconds() -> float:
         for i, node in enumerate(nodes):
             node.nxt = nodes[(i * 7919) & 0x7FFF]
             table[i * 3] = node
+    for node in table.values():
+        node.nxt.get()
     t0 = time.perf_counter()
     total = 0
     for i in range(60_000):
@@ -142,13 +152,14 @@ def reference_seconds() -> float:
 class SpeedGauge:
     """How fast the machine ran while a worker measured.
 
-    The host's speed drifts by tens of percent over tens of seconds (other
-    tenants share it).  The gauge times :func:`reference_seconds` between
-    iterations and measurement units (outside the timed region); host times
+    The host's speed swings by tens of percent within seconds when other
+    tenants share it.  The gauge times :func:`reference_seconds` between
+    iterations, measurement units and syscalls, at most every
+    ``min_interval_s`` and outside the measured time; host times
     divided by :meth:`factor` read as if taken at the reference speed.
     """
 
-    def __init__(self, min_interval_s: float = 0.5) -> None:
+    def __init__(self, min_interval_s: float = 0.25) -> None:
         self.samples: list[float] = []
         self.min_interval_s = min_interval_s
         self._last = float("-inf")
@@ -208,7 +219,7 @@ def _flatten(prefix: str, stats, out: dict[str, int]) -> None:
         if isinstance(value, bool):
             continue
         if isinstance(value, int):
-            out[f"{prefix}.{key}"] = out.get(f"{prefix}.{key}", 0) + value
+            merge_counters(out, {f"{prefix}.{key}": value})
         elif isinstance(value, dict):
             for sub, count in value.items():
                 if isinstance(count, int) and not isinstance(count, bool):
@@ -259,7 +270,7 @@ def collect_counters(kernel) -> dict[str, int]:
 
 
 #: Counters that are high watermarks, not sums: a unit contributes its
-#: final value and units combine by ``max``.
+#: final value, and connections and units combine by ``max``.
 WATERMARKS = ("fuse.queue.max_depth",)
 
 
@@ -283,12 +294,18 @@ class Measurement:
         #: timed region (counters, speed samples); subtracted from the wall.
         self.bookkeeping_ns = 0
 
+    def sample_speed(self) -> None:
+        """Let the speed gauge sample if one is due, as bookkeeping."""
+        if self.gauge is not None:
+            t0 = time.perf_counter_ns()
+            self.gauge.maybe_sample()
+            self.bookkeeping_ns += time.perf_counter_ns() - t0
+
     @contextmanager
     def unit(self, kernel):
         """One measurement unit on ``kernel``: virtual time and counter deltas."""
+        self.sample_speed()
         t0 = time.perf_counter_ns()
-        if self.gauge is not None:
-            self.gauge.maybe_sample()
         before = collect_counters(kernel)
         self.bookkeeping_ns += time.perf_counter_ns() - t0
         self.odometer.enter(kernel.clock)
@@ -491,7 +508,7 @@ class SpanRecorder:
             stop += 1
         return range(root, stop)
 
-    def reduce(self, root: int) -> dict:
+    def reduce(self, root: int) -> dict[str, dict[str, int]]:
         """Per-layer span and call counts, errors, and host and virtual self
         and total time over the subtree of span ``root``.
 
@@ -526,8 +543,7 @@ class SpanRecorder:
                 entry["calls"] += 1
                 entry["host_total_ns"] += host_dur[j]
                 entry["virt_total_ns"] += virt_dur[j]
-        return {"layers": layers, "root_host_ns": host_dur[0],
-                "root_virt_ns": virt_dur[0]}
+        return layers
 
     def dump(self, path) -> None:
         """Write the raw span table (one array after another) to ``path``."""

@@ -29,6 +29,8 @@ from perfbench.workloads import Checks, WORKLOADS
 
 #: At most this many failure messages are carried in the result.
 MAX_MESSAGES = 20
+#: Speed samples taken right after set-up, to scale the set-up time.
+SETUP_SPEED_SAMPLES = 3
 
 
 class Context:
@@ -70,6 +72,7 @@ def main(argv: list[str] | None = None) -> int:
         recorder.install()
     ctx = Context(recorder)
     install_scheduler_counters(lambda: ctx.measurement)
+    meter.on_tick = lambda: ctx.measurement.sample_speed()
     workload = WORKLOADS[args.workload](args.seed, ctx)
 
     if recorder is not None:
@@ -78,8 +81,13 @@ def main(argv: list[str] | None = None) -> int:
     with recorder.span("setup") if recorder is not None else nullcontext():
         workload.setup()
     first_op = time.monotonic()
+    # The machine's speed just after set-up, read before anything else runs.
+    setup_gauge = SpeedGauge()
+    for _ in range(SETUP_SPEED_SAMPLES):
+        setup_gauge.sample()
     if args.setup_only:
-        print(json.dumps({"first_op_monotonic": first_op}))
+        print(json.dumps({"first_op_monotonic": first_op,
+                          "setup_speed_factor": setup_gauge.factor()}))
         return 0
 
     iterations, prints, counters = [], [], {}
@@ -99,7 +107,8 @@ def main(argv: list[str] | None = None) -> int:
         gc.collect()
         workload.prepare()
         gauge.sample()
-        measurement = ctx.measurement = Measurement(gauge)
+        # Traced runs take no speed samples inside their spans.
+        measurement = ctx.measurement = Measurement(gauge if recorder is None else None)
         if recorder is not None:
             recorder.odometer = measurement.odometer
             recorder.active = True
@@ -157,6 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed,
         "iterations": len(iterations),
         "first_op_monotonic": first_op,
+        "setup_speed_factor": setup_gauge.factor(),
         "timed_ns": timed_ns,
         "elapsed_ns": elapsed_ns,
         "syscalls": meter.calls,
@@ -186,25 +196,19 @@ def main(argv: list[str] | None = None) -> int:
 
 def trace_report(recorder: SpanRecorder, roots: list[int], workload,
                  virtual_sum: int) -> dict:
-    """Reduce the spans: per-layer self times over the timed roots, totals
-    over the set-up root, and the two trace identities."""
+    """Reduce the spans: per-layer self times over the timed roots and
+    totals over the set-up root."""
     timed: dict[str, dict[str, int]] = {}
-    root_host = root_virt = 0
     for root in roots:
-        reduced = recorder.reduce(root)
-        root_host += reduced["root_host_ns"]
-        root_virt += reduced["root_virt_ns"]
-        for layer, entry in reduced["layers"].items():
+        for layer, entry in recorder.reduce(root).items():
             into = timed.setdefault(layer, dict.fromkeys(entry, 0))
             for key, value in entry.items():
                 into[key] += value
-    setup = recorder.reduce(0)["layers"]           # span 0 is the set-up root
+    setup = recorder.reduce(0)           # span 0 is the set-up root
     report = {
         "layers": timed,
         "setup_layers": setup,
         "spans": len(recorder),
-        "root_host_ns": root_host,
-        "root_virt_ns": root_virt,
         "host_self_sum_ns": sum(e["host_self_ns"] for e in timed.values()),
         "virt_self_sum_ns": sum(e["virt_self_ns"] for e in timed.values()),
         "virtual_ns": virtual_sum,

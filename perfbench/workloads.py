@@ -201,8 +201,13 @@ class Stream(Workload):
         kernel = env.machine.kernel
         sc, base = env.cntr_access()
         path = f"{base}/stream.dat"
-        clock = time.perf_counter
-        with self.ctx.measurement.unit(kernel):
+        measurement = self.ctx.measurement
+
+        def clock() -> float:
+            # Host seconds less the benchmark's own bookkeeping so far.
+            return (time.perf_counter_ns() - measurement.bookkeeping_ns) / 1e9
+
+        with measurement.unit(kernel):
             v0 = kernel.clock.now_ns
             t0 = clock()
             fd = sc.open(path, self.flags.O_CREAT | self.flags.O_WRONLY, 0o644)
@@ -246,17 +251,34 @@ class Stream(Workload):
 # tenants: attached Cntr sessions under cgroup limits, interleaved
 # ---------------------------------------------------------------------------
 class Tenants(Workload):
-    """Seeded small-file + streaming mixes in limited containers."""
+    """PostMark plus a dirtying stream in each of several limited containers.
+
+    Every proportion comes from a workload the repository already has.  The
+    small-file part is ``repro.bench.phoronix.PostMark``: a pool of 120
+    2 KiB files, then 500 transactions split 30/25/25/20 into create (a
+    2 KiB file), delete, append (224 bytes) and read (4 KiB records).  The
+    dirtying stream is one ``repro.bench.scale`` tenant's write phase: 96
+    records of 64 KiB, then fsync.  Tenant count, ``max_background`` and
+    the ``cpu.max`` cap (2 ms per 10 ms) are ``repro.bench.scale``'s too.
+    What is added here are the knobs the other workloads leave unset:
+    ``cpu.weight`` 100/200 and a ``memory.high``/``memory.max`` pair below
+    the stream's 6 MiB.
+    """
 
     name = "tenants"
     TENANTS = 4
-    #: Operations per tenant per iteration.
-    MIX = (("create", 120), ("append", 60), ("read", 80), ("unlink", 40),
-           ("stream", 100))
-    MAX_BACKGROUND = 12              # the Linux fuse_conn->max_background default
-    DIRTY_BACKGROUND = 2 << 20
+    #: PostMark's transaction split: (op, share of ``transactions``).
+    POSTMARK_SPLIT = (("create", 0.30), ("unlink", 0.25), ("append", 0.25),
+                      ("read", 0.20))
+    POSTMARK_FILE = 2048
+    POSTMARK_APPEND = b"appended line\n" * 16
+    POSTMARK_READ = 4096
+    MEMORY_HIGH = 2 << 20
+    MEMORY_MAX = 4 << 20
 
     def setup(self) -> None:
+        from repro.bench import scale
+        from repro.bench.phoronix import PostMark
         from repro.container import DockerEngine, ImageBuilder
         from repro.core.attach import AttachOptions, attach
         from repro.fs.constants import OpenFlags
@@ -265,6 +287,9 @@ class Tenants(Workload):
         from repro.kernel.machine import boot
 
         self.flags = OpenFlags
+        postmark = PostMark()
+        self.pool, self.transactions = postmark.pool, postmark.transactions
+        self.records, self.record = scale.RECORDS, scale.RECORD_KB << 10
         machine = boot(store_data=False)
         host = machine.syscalls
         docker = DockerEngine(machine)
@@ -272,12 +297,14 @@ class Tenants(Workload):
                  .add_file("/usr/sbin/svc", size=200_000, mode=0o755)
                  .entrypoint("/usr/sbin/svc").build())
         options = AttachOptions(fuse_options=FuseMountOptions.paper_defaults()
-                                .with_overrides(max_background=self.MAX_BACKGROUND))
-        # Let each tenant's dirty stream build multi-MiB bursts, so its
-        # flushes overflow the bounded background queue.
-        fd = host.open("/proc/sys/vm/dirty_background_bytes", OpenFlags.O_WRONLY)
-        host.write(fd, f"{self.DIRTY_BACKGROUND}\n".encode())
-        host.close(fd)
+                                .with_overrides(max_background=scale.MAX_BACKGROUND))
+        # repro.bench.scale's writeback knobs: dirty data accumulates, so
+        # flushes leave in multi-MiB bursts that overflow the bounded queue.
+        for knob, value in (("dirty_background_bytes", 64 << 20),
+                            ("dirty_bytes", 128 << 20)):
+            fd = host.open(f"/proc/sys/vm/{knob}", OpenFlags.O_WRONLY)
+            host.write(fd, f"{value}\n".encode())
+            host.close(fd)
         tools = []
         self.cgroup_paths = []
         self.attach_host_ns = 0
@@ -287,9 +314,8 @@ class Tenants(Workload):
             limits = CgroupLimits(
                 cpu_shares=1024 * (1 + i % 2),
                 # Odd tenants are capped at 20% of the CPU (cpu.max).
-                cpu_quota_us=20_000 if i % 2 else None,
-                # Both memory knobs sit below each tenant's working set.
-                memory_limit_bytes=6 << 20, memory_high_bytes=3 << 20)
+                cpu_quota_us=2_000 if i % 2 else None, cpu_period_us=10_000,
+                memory_limit_bytes=self.MEMORY_MAX, memory_high_bytes=self.MEMORY_HIGH)
             host.makedirs(f"/srv/tenant{i}")
             t0, v0 = time.perf_counter_ns(), machine.clock.now_ns
             with recorder.span("attach") if recorder is not None else nullcontext():
@@ -312,35 +338,46 @@ class Tenants(Workload):
         flags = self.flags
         rng = DeterministicRandom(self.seed).substream(f"tenant{i}")
         base = f"/srv/tenant{i}"
-        names: list[str] = []
         sizes: dict[str, int] = {}
-        serial = 0
-        chunk = b"s" * (256 << 10)
+
+        def create(path):
+            fd = sc.open(path, flags.O_CREAT | flags.O_WRONLY, 0o644)
+            yield None
+            sizes[path] = sc.write(fd, b"c" * self.POSTMARK_FILE)
+            yield None
+            sc.close(fd)
+            yield None
+
+        for serial in range(self.pool):
+            yield from create(f"{base}/msg{serial:05d}")
+        names = list(sizes)
+        serial = self.pool
         stream_fd = sc.open(f"{base}/stream.dat", flags.O_CREAT | flags.O_WRONLY, 0o644)
         yield None
+        record = b"s" * self.record
         streamed = 0
         # A fixed multiset of operations in a seeded order: the seed moves
-        # the interleaving, file sizes and targets, not the amount of work.
-        mix = [op for op, count in self.MIX for _ in range(count)]
+        # the interleaving and the targets, not the amount of work.
+        mix = [op for op, share in self.POSTMARK_SPLIT
+               for _ in range(round(share * self.transactions))]
+        mix += ["record"] * self.records
         rng.shuffle(mix)
         for op in mix:
-            if op == "create" or not names:
-                path = f"{base}/f{serial:05d}"
+            if op == "create" or (op != "record" and not names):
+                path = f"{base}/msg{serial:05d}"
                 serial += 1
-                nbytes = rng.randrange(1, 9) * 1024
-                fd = sc.open(path, flags.O_CREAT | flags.O_WRONLY, 0o644)
-                yield None
-                sc.write(fd, b"c" * nbytes)
-                yield None
-                sc.close(fd)
-                yield None
+                yield from create(path)
                 names.append(path)
-                sizes[path] = nbytes
+            elif op == "unlink":
+                path = names.pop(rng.randrange(len(names)))
+                sc.unlink(path)
+                yield None
+                del sizes[path]
             elif op == "append":
                 path = names[rng.randrange(len(names))]
                 fd = sc.open(path, flags.O_WRONLY | flags.O_APPEND)
                 yield None
-                sizes[path] += sc.write(fd, b"a" * 512)
+                sizes[path] += sc.write(fd, self.POSTMARK_APPEND)
                 yield None
                 sc.close(fd)
                 yield None
@@ -350,7 +387,7 @@ class Tenants(Workload):
                 yield None
                 got = 0
                 while True:
-                    data = sc.read(fd, 4096)
+                    data = sc.read(fd, self.POSTMARK_READ)
                     yield None
                     if not data:
                         break
@@ -360,23 +397,11 @@ class Tenants(Workload):
                 tally["reads"] += 1
                 if got != sizes[path]:
                     tally["mismatches"] += 1
-            elif op == "unlink":
-                path = names.pop(rng.randrange(len(names)))
-                sc.unlink(path)
-                yield None
-                del sizes[path]
             else:
-                # The dirtying stream: 512 KiB per op, flushed every fourth
-                # op as one burst through the bounded background queue.  Two
-                # large writes, so most syscalls stay small-file operations
-                # and the latency median sits inside that mode.
-                for _ in range(2):
-                    streamed += sc.write(stream_fd, chunk)
-                    yield None
-                tally["stream_ops"] += 1
-                if tally["stream_ops"] % 4 == 0:
-                    sc.fsync(stream_fd)
-                    yield None
+                streamed += sc.write(stream_fd, record)
+                yield None
+        sc.fsync(stream_fd)
+        yield None
         sc.close(stream_fd)
         tally["files"] = len(names)
         tally["bytes_live"] = sum(sizes.values())
@@ -389,7 +414,7 @@ class Tenants(Workload):
         controller = kernel.cpu_controller(rng=DeterministicRandom(self.seed))
         tallies = []
         for i, tool in enumerate(self.tools):
-            tally = {"reads": 0, "mismatches": 0, "stream_ops": 0}
+            tally = {"reads": 0, "mismatches": 0}
             tallies.append(tally)
             controller.spawn(tool.process, self._body(i, tool, tally), name=f"tenant{i}")
         with self.ctx.measurement.unit(kernel):
@@ -404,6 +429,8 @@ class Tenants(Workload):
             checks.expect(tally["mismatches"] == 0,
                           f"tenant{i}: {tally['mismatches']} read-back size mismatches")
             checks.expect(tally["reads"] > 0, f"tenant{i}: read something back")
+            checks.expect(tally["streamed"] == self.records * self.record,
+                          f"tenant{i}: streamed {tally['streamed']} bytes")
         host = self.machine.syscalls
         for path in self.cgroup_paths:
             fd = host.open(f"/sys/fs/cgroup{path}/cpu.stat", self.flags.O_RDONLY)
