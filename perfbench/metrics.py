@@ -80,6 +80,43 @@ def _rank(q: float, n: int) -> int:
     return rank
 
 
+def fastest_chunks(records: Sequence[tuple[Sequence[int], Sequence[int], Sequence[float]]],
+                   chunk: int, stride: int) -> list[tuple[int, Sequence[int], float]]:
+    """Each chunk of an iteration's syscalls as the fastest iteration ran it,
+    with the fastest speed reading taken at that point of the work.
+
+    ``records`` holds one ``(latencies, stamps, speeds)`` per iteration:
+    each syscall's latency in call order; the clock at the start, after
+    every ``chunk``-th syscall and at the end; and the reference task's time
+    at the start and before every ``stride``-th chunk.  Every iteration
+    issues the same syscalls, so chunk ``j`` is the same work in each.  For
+    every ``j`` the iteration with the least time for it (the earliest on a
+    tie) gives ``(time, latencies)``, paired with the least reference time
+    any iteration read before that stretch of ``stride`` chunks.
+
+    A shared host only ever adds time, and its slow spells last seconds to
+    minutes: a chunk that at least one iteration ran outside them comes out
+    at full speed, and the paired reading tells at what speed the fastest
+    iteration of that stretch of work ran.
+    """
+    if not records:
+        raise ValueError("no iterations")
+    shapes = {(len(lat), len(stamps), len(speeds)) for lat, stamps, speeds in records}
+    if len(shapes) != 1:
+        raise ValueError(f"iterations differ in syscalls, chunks or readings: {sorted(shapes)}")
+    chunks = len(records[0][1]) - 1
+    readings = len(records[0][2])
+    if readings != (chunks - 1) // stride + 1:
+        raise ValueError(f"{readings} speed readings for {chunks} chunks of stride {stride}")
+    chosen = []
+    for j in range(chunks):
+        duration, k = min((stamps[j + 1] - stamps[j], k)
+                          for k, (_lat, stamps, _speeds) in enumerate(records))
+        speed = min(speeds[j // stride] for _lat, _stamps, speeds in records)
+        chosen.append((duration, records[k][0][j * chunk:(j + 1) * chunk], speed))
+    return chosen
+
+
 def median(values: Sequence[float]) -> float:
     """Median (mean of the middle pair for an even count)."""
     ordered = sorted(values)

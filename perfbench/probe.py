@@ -22,7 +22,7 @@ import time
 from array import array
 from contextlib import contextmanager
 
-from perfbench.metrics import LatencyHistogram, median, self_times
+from perfbench.metrics import self_times
 
 # ---------------------------------------------------------------------------
 # Top-level syscall meter
@@ -30,26 +30,53 @@ from perfbench.metrics import LatencyHistogram, median, self_times
 
 
 class SyscallMeter:
-    """Host latency of every top-level simulated syscall while active."""
+    """Host latency of every top-level simulated syscall while active.
 
-    #: ``on_tick`` runs after every this many top-level syscalls.
-    TICK_CALLS = 256
+    Within one iteration (:meth:`begin` to :meth:`end`) it keeps every
+    latency in call order, and the iteration's net clock at its start,
+    after every :data:`CHUNK_CALLS`-th call and at its end: the boundaries
+    of the chunks :func:`perfbench.metrics.fastest_chunks` compares across
+    iterations.  Given a speed sampler, it also reads the machine's speed
+    at the start and before every :data:`SPEED_STRIDE`-th chunk, so the
+    readings fall at the same points of the work in every iteration.
+    """
+
+    #: Syscalls per chunk.
+    CHUNK_CALLS = 256
+    #: Chunks per speed reading.
+    SPEED_STRIDE = 16
 
     def __init__(self) -> None:
         self.active = False
         self.depth = 0
         self.errors = 0
         self.calls = 0
-        self.latencies = LatencyHistogram()
-        #: Called between syscalls, outside their timing (speed samples).
-        self.on_tick = None
+        self.latencies = array("q")
+        self.stamps = array("q")
+        self.speeds = array("d")
+        self.net_clock = time.perf_counter_ns
+        self.sample_speed = None
+
+    def begin(self, net_clock, sample_speed=None) -> None:
+        """Start an iteration whose chunk boundaries read ``net_clock()``
+        (host nanoseconds less the benchmark's own bookkeeping) and whose
+        speed readings, if any, come from ``sample_speed()``."""
+        self.net_clock = net_clock
+        self.sample_speed = sample_speed
+        self.latencies = array("q")
+        self.speeds = array("d", [sample_speed()] if sample_speed else [])
+        self.stamps = array("q", [net_clock()])
+
+    def end(self) -> tuple[array, array, array]:
+        """Close the iteration; return its latencies, chunk boundaries and
+        speed readings."""
+        self.stamps.append(self.net_clock())
+        return self.latencies, self.stamps, self.speeds
 
     def wrap(self, fn):
         from repro.fs.errors import FsError
 
         clock = time.perf_counter_ns
-        counts = self.latencies.counts
-        bucket = LatencyHistogram.index
         meter = self
 
         def timed(*args, **kwargs):
@@ -63,11 +90,15 @@ class SyscallMeter:
                 meter.errors += 1
                 raise
             finally:
-                counts[bucket(clock() - t0)] += 1
+                latencies = meter.latencies
+                latencies.append(clock() - t0)
                 meter.calls += 1
                 meter.depth = 0
-                if meter.on_tick is not None and not meter.calls % meter.TICK_CALLS:
-                    meter.on_tick()
+                if not len(latencies) % meter.CHUNK_CALLS:
+                    chunks = len(latencies) // meter.CHUNK_CALLS
+                    if meter.sample_speed is not None and not chunks % meter.SPEED_STRIDE:
+                        meter.speeds.append(meter.sample_speed())
+                    meter.stamps.append(meter.net_clock())
 
         timed.__wrapped__ = fn
         return timed
@@ -103,9 +134,10 @@ def public_functions(cls) -> list[tuple[str, object]]:
 # Machine speed gauge
 # ---------------------------------------------------------------------------
 
-#: Host seconds :func:`reference_seconds` takes on the reference machine
-#: (the 2-vCPU x86-64 VM the bounds in BENCHMARK.json were set on).
-REFERENCE_NOMINAL_S = 0.020
+#: Host seconds :func:`reference_seconds` takes at its fastest on the
+#: reference machine (the 2-vCPU x86-64 VM the bounds in BENCHMARK.json
+#: were set on).
+REFERENCE_NOMINAL_S = 0.015
 
 
 class _Node:
@@ -147,34 +179,6 @@ def reference_seconds() -> float:
         total += node.get()
         node.value = total & 0xFFFF
     return time.perf_counter() - t0
-
-
-class SpeedGauge:
-    """How fast the machine ran while a worker measured.
-
-    The host's speed swings by tens of percent within seconds when other
-    tenants share it.  The gauge times :func:`reference_seconds` between
-    iterations, measurement units and syscalls, at most every
-    ``min_interval_s`` and outside the measured time; host times
-    divided by :meth:`factor` read as if taken at the reference speed.
-    """
-
-    def __init__(self, min_interval_s: float = 0.25) -> None:
-        self.samples: list[float] = []
-        self.min_interval_s = min_interval_s
-        self._last = float("-inf")
-
-    def sample(self) -> None:
-        self.samples.append(reference_seconds())
-        self._last = time.perf_counter()
-
-    def maybe_sample(self) -> None:
-        if time.perf_counter() - self._last >= self.min_interval_s:
-            self.sample()
-
-    def factor(self) -> float:
-        """Median reference time over the nominal one (> 1: a slow machine)."""
-        return median(self.samples) / REFERENCE_NOMINAL_S
 
 
 # ---------------------------------------------------------------------------
@@ -286,25 +290,24 @@ def merge_counters(into: dict[str, int], values: dict[str, int]) -> None:
 class Measurement:
     """Units, their virtual time and their counter deltas for one pass."""
 
-    def __init__(self, gauge: SpeedGauge | None = None) -> None:
+    def __init__(self) -> None:
         self.odometer = Odometer()
         self.counters: dict[str, int] = {}
-        self.gauge = gauge
         #: Host time the benchmark spent on its own bookkeeping inside the
-        #: timed region (counters, speed samples); subtracted from the wall.
+        #: timed region (counters, speed readings); subtracted from the wall.
         self.bookkeeping_ns = 0
 
-    def sample_speed(self) -> None:
-        """Let the speed gauge sample if one is due, as bookkeeping."""
-        if self.gauge is not None:
-            t0 = time.perf_counter_ns()
-            self.gauge.maybe_sample()
+    def bookkeep(self, fn):
+        """``fn()``, its host time counted as bookkeeping."""
+        t0 = time.perf_counter_ns()
+        try:
+            return fn()
+        finally:
             self.bookkeeping_ns += time.perf_counter_ns() - t0
 
     @contextmanager
     def unit(self, kernel):
         """One measurement unit on ``kernel``: virtual time and counter deltas."""
-        self.sample_speed()
         t0 = time.perf_counter_ns()
         before = collect_counters(kernel)
         self.bookkeeping_ns += time.perf_counter_ns() - t0

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 
-from perfbench.metrics import (LatencyHistogram, direction_agreement,
+from perfbench.metrics import (LatencyHistogram, fastest_chunks, direction_agreement,
                                mean_log_error, median, ratio, self_times)
 
 
@@ -55,6 +55,29 @@ def check_percentile() -> None:
     _expect(median([4, 1, 2, 3]) == 2.5)
 
 
+def check_fastest_chunks() -> None:
+    # Three iterations of five syscalls in chunks of two: chunks [0,2), [2,4)
+    # and [4,5), with a speed reading before chunks 0 and 2 (stride 2).
+    # Iteration 1 is slow in chunk 0, iteration 2 in chunk 2.
+    records = [
+        ([1, 2, 3, 4, 5], [0, 10, 20, 30], [1.0, 3.0]),
+        ([9, 9, 3, 4, 6], [0, 50, 58, 68], [4.0, 2.0]),
+        ([1, 2, 7, 8, 9], [0, 11, 19, 90], [2.0, 5.0]),
+    ]
+    # Chunk 0 from iteration 0 (10), chunk 1 from iteration 1 (8; iteration
+    # 2 ties and is later), chunk 2 from iteration 0 (10); readings pair by
+    # stretch, fastest first: 1.0 for chunks 0-1, 2.0 for chunk 2.
+    _expect(fastest_chunks(records, 2, 2)
+            == [(10, [1, 2], 1.0), (8, [3, 4], 1.0), (10, [5], 2.0)])
+    _expect(fastest_chunks(records[1:], 2, 2)
+            == [(11, [1, 2], 2.0), (8, [3, 4], 2.0), (10, [6], 2.0)])
+    # Iterations that issued different syscalls cannot be compared, and the
+    # readings must cover every stretch of chunks.
+    _expect(_raises(fastest_chunks, [records[0], ([1, 2], [0, 5, 9], [1.0])], 2, 2))
+    _expect(_raises(fastest_chunks, [([1, 2, 3], [0, 5, 9], [])], 2, 2))
+    _expect(_raises(fastest_chunks, [], 2, 2))
+
+
 def check_fidelity_formulas() -> None:
     # |ln(2/1)| and |ln(1/2)| are both ln 2; a perfect point adds 0.
     _expect(math.isclose(mean_log_error([(2.0, 1.0), (0.5, 1.0)]), math.log(2)))
@@ -82,7 +105,8 @@ def check_self_times() -> None:
     _expect(own[0] + own[1] == 10 and own[2] + own[3] + own[4] == 20)
 
 
-CHECKS = (check_percentile, check_fidelity_formulas, check_self_times)
+CHECKS = (check_percentile, check_fastest_chunks, check_fidelity_formulas,
+          check_self_times)
 
 
 def run() -> list[str]:

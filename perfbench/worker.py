@@ -22,14 +22,15 @@ import sys
 import time
 from contextlib import nullcontext
 
-from perfbench.metrics import median
-from perfbench.probe import (LAYERS, Measurement, SpanRecorder, SpeedGauge,
-                             SyscallMeter, install_scheduler_counters, merge_counters)
+from perfbench.metrics import LatencyHistogram, fastest_chunks
+from perfbench.probe import (LAYERS, REFERENCE_NOMINAL_S, Measurement, SpanRecorder,
+                             SyscallMeter, install_scheduler_counters, merge_counters,
+                             reference_seconds)
 from perfbench.workloads import Checks, WORKLOADS
 
 #: At most this many failure messages are carried in the result.
 MAX_MESSAGES = 20
-#: Speed samples taken right after set-up, to scale the set-up time.
+#: Speed readings taken right after set-up; the fastest scales set-up time.
 SETUP_SPEED_SAMPLES = 3
 
 
@@ -72,7 +73,6 @@ def main(argv: list[str] | None = None) -> int:
         recorder.install()
     ctx = Context(recorder)
     install_scheduler_counters(lambda: ctx.measurement)
-    meter.on_tick = lambda: ctx.measurement.sample_speed()
     workload = WORKLOADS[args.workload](args.seed, ctx)
 
     if recorder is not None:
@@ -82,20 +82,18 @@ def main(argv: list[str] | None = None) -> int:
         workload.setup()
     first_op = time.monotonic()
     # The machine's speed just after set-up, read before anything else runs.
-    setup_gauge = SpeedGauge()
-    for _ in range(SETUP_SPEED_SAMPLES):
-        setup_gauge.sample()
+    setup_speed = min(reference_seconds() for _ in range(SETUP_SPEED_SAMPLES))
+    setup_speed_factor = setup_speed / REFERENCE_NOMINAL_S
     if args.setup_only:
         print(json.dumps({"first_op_monotonic": first_op,
-                          "setup_speed_factor": setup_gauge.factor()}))
+                          "setup_speed_factor": setup_speed_factor}))
         return 0
 
     iterations, prints, counters = [], [], {}
     checks = Checks()
     timed_ns = elapsed_ns = 0
     walks = advances = 0
-    rates = []
-    gauge = SpeedGauge()
+    records = []
     roots = []
     virtual_sum = 0
     budget_ns = int(args.seconds * 1e9)
@@ -106,20 +104,22 @@ def main(argv: list[str] | None = None) -> int:
         # outside the timed region so every iteration starts alike.
         gc.collect()
         workload.prepare()
-        gauge.sample()
-        # Traced runs take no speed samples inside their spans.
-        measurement = ctx.measurement = Measurement(gauge if recorder is None else None)
+        measurement = ctx.measurement = Measurement()
         if recorder is not None:
             recorder.odometer = measurement.odometer
             recorder.active = True
             walks0, advances0 = recorder.walks, recorder.advances
             roots.append(recorder.open(LAYERS.index("workload")))
-        calls0 = meter.calls
-        meter.active = True
         t0 = time.perf_counter_ns()
+        # Traced runs take no speed readings: they would land in the spans.
+        meter.begin(lambda m=measurement: time.perf_counter_ns() - m.bookkeeping_ns,
+                    (lambda m=measurement: m.bookkeep(reference_seconds))
+                    if recorder is None else None)
+        meter.active = True
         it = workload.run()
         elapsed = time.perf_counter_ns() - t0
         meter.active = False
+        record = meter.end()
         if recorder is not None:
             recorder.close(roots[-1])
             recorder.active = False
@@ -127,8 +127,7 @@ def main(argv: list[str] | None = None) -> int:
             advances += recorder.advances - advances0
         elapsed_ns += elapsed
         timed_ns += elapsed - measurement.bookkeeping_ns
-        gauge.sample()
-        rates.append((meter.calls - calls0) * 1e9 / (elapsed - measurement.bookkeeping_ns))
+        records.append(record)
         workload.check(it, checks)
         iterations.append(it)
         if len(iterations) == 1:
@@ -149,33 +148,28 @@ def main(argv: list[str] | None = None) -> int:
 
     if len(set(prints)) != 1:
         checks.expect(False, f"virtual fingerprints differ across iterations: {prints}")
-    if workload.errors_are_failures:
-        checks.attempted += meter.calls
-        for _ in range(meter.errors):
-            checks.failures.append("unexpected errno from a syscall")
+    # A syscall that escapes a workload with an errno is a failure.
+    checks.attempted += meter.calls
+    for _ in range(meter.errors):
+        checks.failures.append("unexpected errno from a syscall")
 
-    latencies = meter.latencies
-    try:
-        p50 = latencies.percentile(0.50) / 1e3
-        p99 = latencies.percentile(0.99) / 1e3
-    except ValueError as exc:
-        checks.expect(False, str(exc))
-        p50 = p99 = 0.0
+    speed_metrics = {}
+    if recorder is None:     # traced runs take no speed readings
+        try:
+            speed_metrics = end_to_end_metrics(records)
+        except ValueError as exc:
+            checks.expect(False, str(exc))
     result = {
         "workload": args.workload,
         "seed": args.seed,
         "iterations": len(iterations),
         "first_op_monotonic": first_op,
-        "setup_speed_factor": setup_gauge.factor(),
+        "setup_speed_factor": setup_speed_factor,
         "timed_ns": timed_ns,
         "elapsed_ns": elapsed_ns,
         "syscalls": meter.calls,
-        "ops_per_s": median(rates),
         "syscall_errors": meter.errors,
-        "op_us_p50": p50,
-        "op_us_p99": p99,
-        "latency_samples": latencies.total,
-        "speed_factor": gauge.factor(),
+        **speed_metrics,
         "peak_rss_mb": peak_rss_kb / 1024,
         "fingerprint": prints[0],
         "virtual_ns": virtual_sum // len(iterations),
@@ -192,6 +186,35 @@ def main(argv: list[str] | None = None) -> int:
             recorder.dump(args.spans_out)
     print(json.dumps(result, sort_keys=True))
     return 0
+
+
+def end_to_end_metrics(records: list) -> dict:
+    """Syscalls per second and p50/p99 latency of one iteration assembled
+    from each chunk's fastest run, at the reference speed and raw
+    (``raw.*``).
+
+    Picking each chunk's fastest run also leaves out the first iteration's
+    cold start (adaptive bytecode, allocator arenas, lazy imports) wherever
+    a later iteration ran the chunk warm.
+    """
+    raw, scaled = LatencyHistogram(), LatencyHistogram()
+    raw_ns = scaled_ns = 0.0
+    for ns, latencies, speed in fastest_chunks(
+            records, SyscallMeter.CHUNK_CALLS, SyscallMeter.SPEED_STRIDE):
+        factor = speed / REFERENCE_NOMINAL_S
+        raw_ns += ns
+        scaled_ns += ns / factor
+        for latency in latencies:
+            raw.add(latency)
+            scaled.add(round(latency / factor))
+    fastest = min(speed for _lat, _stamps, speeds in records for speed in speeds)
+    metrics = {"latency_samples": scaled.total,
+               "speed_factor": fastest / REFERENCE_NOMINAL_S}
+    for prefix, histogram, total_ns in (("", scaled, scaled_ns), ("raw.", raw, raw_ns)):
+        metrics[f"{prefix}ops_per_s"] = histogram.total * 1e9 / total_ns
+        metrics[f"{prefix}op_us_p50"] = histogram.percentile(0.50) / 1e3
+        metrics[f"{prefix}op_us_p99"] = histogram.percentile(0.99) / 1e3
+    return metrics
 
 
 def trace_report(recorder: SpanRecorder, roots: list[int], workload,

@@ -1,4 +1,4 @@
-"""The four benchmark workloads.
+"""The three benchmark workloads.
 
 Each workload has an untimed ``setup`` (imports are already done; boots,
 pre-booted snapshots and container starts happen here), an untimed
@@ -56,9 +56,6 @@ class Workload:
     """Base class; see the module docstring for the life cycle."""
 
     name = ""
-    #: Whether a syscall that escapes the workload with an errno is a failure.
-    #: xfstests cases provoke errnos on purpose and judge them themselves.
-    errors_are_failures = True
 
     def __init__(self, seed: int, context) -> None:
         self.seed = seed
@@ -440,60 +437,4 @@ class Tenants(Workload):
             checks.expect(int(stat.get("usage_usec", 0)) > 0, f"{path}: usage_usec > 0")
 
 
-# ---------------------------------------------------------------------------
-# xfstests: both generic sweeps, one snapshot fork per case
-# ---------------------------------------------------------------------------
-class Xfstests(Workload):
-    """209 native + 205 CntrFS generic cases; the seed is only recorded."""
-
-    name = "xfstests"
-    errors_are_failures = False
-
-    def setup(self) -> None:
-        from repro.xfstests import harness
-        from repro.xfstests.generic import GENERIC_TESTS, PAPER_FAILING_TESTS
-
-        self.harness = harness
-        self.runner = harness.XfstestsRunner(harness.native_environment)
-        cntr_cases = [c for c in GENERIC_TESTS if c.test_id not in PAPER_FAILING_TESTS]
-        self.sweeps = [
-            ("native", harness.EnvironmentSnapshot(harness.native_environment()),
-             list(GENERIC_TESTS)),
-            ("cntrfs", harness.EnvironmentSnapshot(harness.cntrfs_environment()),
-             cntr_cases),
-        ]
-
-    def prepare(self) -> None:
-        import itertools
-
-        # Cases draw unique file names from a process-wide counter; restart
-        # it so every iteration creates byte-identical names.
-        self.harness._env_counter = itertools.count(1)   # noqa: SLF001
-
-    def run(self) -> Iteration:
-        measurement = self.ctx.measurement
-        verdicts = {}
-        for env_name, snapshot, cases in self.sweeps:
-            results = []
-            for case in cases:
-                env = snapshot.fork()
-                with measurement.unit(env.machine.kernel):
-                    result = self.runner._run_one(case, env)   # noqa: SLF001
-                results.append([case.test_id, result.status])
-            verdicts[env_name] = results
-        return Iteration(outputs=verdicts)
-
-    def check(self, it: Iteration, checks: Checks) -> None:
-        expected = {"native": 209, "cntrfs": 205}
-        for env_name, results in it.outputs.items():
-            checks.expect(len(results) == expected[env_name],
-                          f"{env_name}: {len(results)} cases, expected {expected[env_name]}")
-            for test_id, status in results:
-                checks.expect(status == "pass", f"{env_name} {test_id}: {status}")
-
-    def summary(self, iterations: list[Iteration], timed_s: float) -> dict:
-        cases = sum(len(r) for it in iterations for r in it.outputs.values())
-        return {"cases_per_s": (cases / timed_s, "1/s")}
-
-
-WORKLOADS = {w.name: w for w in (Paper, Stream, Tenants, Xfstests)}
+WORKLOADS = {w.name: w for w in (Paper, Stream, Tenants)}
