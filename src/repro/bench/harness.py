@@ -31,11 +31,6 @@ class ComparisonResult:
         """Relative overhead: virtual time through CntrFS / native virtual time."""
         return self.cntr_ns / self.native_ns if self.native_ns else float("inf")
 
-    @property
-    def cntr_is_faster(self) -> bool:
-        """True when CntrFS beats the native filesystem on this workload."""
-        return self.overhead < 1.0
-
     def agrees_with_paper_direction(self) -> bool:
         """True when measured and paper agree on who wins."""
         return (self.overhead >= 1.0) == (self.paper_overhead >= 1.0)
@@ -168,15 +163,6 @@ def figure2_phoronix_overheads(workloads: list[Workload] | None = None,
     for workload in (workloads if workloads is not None else ALL_WORKLOADS):
         results.append(run_comparison(workload, options=options))
     return results
-
-
-def format_figure2(results: list[ComparisonResult]) -> str:
-    """Render Figure 2 as a table of measured vs paper overheads."""
-    lines = [f"{'benchmark':<22} {'measured':>9} {'paper':>7}  agreement"]
-    for r in results:
-        agree = "yes" if r.agrees_with_paper_direction() else "NO"
-        lines.append(f"{r.workload:<22} {r.overhead:>8.1f}x {r.paper_overhead:>6.1f}x  {agree}")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

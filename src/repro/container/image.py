@@ -149,10 +149,6 @@ class Image:
                     merged[spec.path] = spec
         return merged
 
-    def with_tag(self, tag: str) -> "Image":
-        """Copy of the image under a different tag (shared layers)."""
-        return Image(name=self.name, tag=tag, layers=list(self.layers), config=self.config)
-
 
 class ImageBuilder:
     """Incremental image builder, loosely mirroring a Dockerfile evaluation."""

@@ -22,14 +22,6 @@ class NspawnEngine(ContainerEngine):
         # machinectl names default to the image (directory) name.
         return requested or image.name.replace("/", "-")
 
-    def machinectl_list(self) -> list[dict[str, str]]:
-        """Equivalent of ``machinectl list``."""
-        rows = []
-        for container in self.list_containers():
-            rows.append({"MACHINE": container.name, "CLASS": "container",
-                         "SERVICE": "systemd-nspawn"})
-        return rows
-
     def machinectl_show(self, machine: str) -> dict[str, str]:
         """Equivalent of ``machinectl show <machine>``."""
         container = self.find(machine)

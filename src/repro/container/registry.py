@@ -30,11 +30,6 @@ class PullResult:
     bytes_cached: int
     duration_ns: int
 
-    @property
-    def duration_s(self) -> float:
-        """Pull duration in seconds of virtual time."""
-        return self.duration_ns / 1e9
-
 
 @dataclass
 class RegistryStats:
@@ -66,10 +61,6 @@ class Registry:
     def has(self, reference: str) -> bool:
         """True when the registry holds ``reference``."""
         return reference in self._images
-
-    def catalog(self) -> list[str]:
-        """All image references in the registry."""
-        return sorted(self._images)
 
     def get(self, reference: str) -> Image:
         """Fetch image metadata without transferring layers."""

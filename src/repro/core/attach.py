@@ -100,11 +100,6 @@ class CntrSession:
         """Syscall facade of the interactive shell (inside the nested namespace)."""
         return Syscalls(self.machine.kernel, self.shell_process)
 
-    @property
-    def nested_syscalls(self) -> Syscalls:
-        """Syscall facade of the nested-namespace setup process."""
-        return Syscalls(self.machine.kernel, self.nested_process)
-
     def exec_tool(self, path: str, argv: list[str] | None = None) -> Syscalls:
         """Run a tool from the fat image/host inside the nested namespace.
 

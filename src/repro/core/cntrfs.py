@@ -81,15 +81,8 @@ class CntrFS(FuseServer):
         self._by_key[key] = nodeid
         return nodeid
 
-    def node_count(self) -> int:
-        """Number of live nodeids."""
-        return len(self._nodes)
-
     def _attr_of(self, vnode: VNode):
         return self.attr_from_stat(vnode.fs.getattr(vnode.ino))
-
-    def _creds(self):
-        return self.server_process.credentials()
 
     # ------------------------------------------------------------- handlers
     def op_lookup(self, request: FuseRequest) -> FuseReply:

@@ -39,11 +39,6 @@ class ContainerContext:
     lsm_profile: str = "unconfined"
     mounts: list[str] = field(default_factory=list)
 
-    @property
-    def path_variable(self) -> str | None:
-        """The container's PATH (which Cntr deliberately does *not* inherit)."""
-        return self.environment.get("PATH")
-
     def environment_without_path(self) -> dict[str, str]:
         """Environment to apply inside the nested namespace (PATH excluded)."""
         return {k: v for k, v in self.environment.items() if k != "PATH"}

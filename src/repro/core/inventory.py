@@ -41,11 +41,6 @@ class ComponentSize:
     paper_loc: int
     repro_loc: int
 
-    @property
-    def paper_fraction(self) -> float:
-        """Fraction of the paper's total this component represents."""
-        return self.paper_loc / PAPER_TOTAL_LOC
-
 
 def _count_loc(path: Path) -> int:
     """Count non-blank, non-comment lines of one Python file."""

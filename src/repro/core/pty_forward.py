@@ -46,11 +46,6 @@ class UserTerminal:
         del self._output[:size]
         return data
 
-    @property
-    def pending_output(self) -> int:
-        """Bytes of shell output waiting to be read."""
-        return len(self._output)
-
 
 class PtyForwarder:
     """Copies bytes between the user terminal and the PTY master."""

@@ -106,10 +106,6 @@ class SocketProxy:
         return moved
 
     # ------------------------------------------------------------- lifecycle
-    def connection_count(self) -> int:
-        """Number of proxied connections accepted so far."""
-        return len(self.pairs)
-
     def close(self) -> None:
         """Close the listener and every proxied connection."""
         if self.closed:

@@ -58,21 +58,6 @@ def is_symlink(mode: int) -> bool:
     return file_type(mode) == FileMode.S_IFLNK
 
 
-def is_device(mode: int) -> bool:
-    """True when ``mode`` describes a block or character device."""
-    return file_type(mode) in (FileMode.S_IFBLK, FileMode.S_IFCHR)
-
-
-def is_socket(mode: int) -> bool:
-    """True when ``mode`` describes a Unix socket."""
-    return file_type(mode) == FileMode.S_IFSOCK
-
-
-def is_fifo(mode: int) -> bool:
-    """True when ``mode`` describes a FIFO."""
-    return file_type(mode) == FileMode.S_IFIFO
-
-
 class OpenFlags(enum.IntFlag):
     """``open(2)`` flags."""
 

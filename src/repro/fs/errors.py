@@ -136,11 +136,6 @@ class FsError(OSError):
         return cls(_errno.EMFILE, msg=msg)
 
     @classmethod
-    def espipe(cls, msg: str | None = None) -> "FsError":
-        """Illegal seek."""
-        return cls(_errno.ESPIPE, msg=msg)
-
-    @classmethod
     def eagain(cls, msg: str | None = None) -> "FsError":
         """Resource temporarily unavailable."""
         return cls(_errno.EAGAIN, msg=msg)

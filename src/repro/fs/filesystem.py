@@ -9,7 +9,6 @@ hooks — the *semantics* of the Linux filesystem API live here, once.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
 
 from repro.fs.constants import FileMode, FallocateMode, RenameFlags, NAME_MAX
 from repro.fs.errors import FsError
@@ -143,19 +142,23 @@ class Filesystem:
     def _charge_metadata(self, op: str) -> None:
         """Charge the virtual-time cost of one metadata operation."""
         self.clock.advance(self.costs.tmpfs_op_ns)
-        self.tracer.record(self.clock.now_ns, self.fs_type, op, self.costs.tmpfs_op_ns)
+        if self.tracer.active:
+            self.tracer.emit(self.clock.now_ns, f"{self.fs_type}.{op}",
+                             self.costs.tmpfs_op_ns)
 
     def _charge_read(self, ino: int, offset: int, size: int) -> None:
         """Charge the cost of reading ``size`` bytes."""
         cost = int(self.costs.tmpfs_per_byte_ns * size + self.costs.tmpfs_op_ns)
         self.clock.advance(cost)
-        self.tracer.record(self.clock.now_ns, self.fs_type, "read", cost)
+        if self.tracer.active:
+            self.tracer.emit(self.clock.now_ns, f"{self.fs_type}.read", cost)
 
     def _charge_write(self, ino: int, offset: int, size: int) -> None:
         """Charge the cost of writing ``size`` bytes."""
         cost = int(self.costs.tmpfs_per_byte_ns * size + self.costs.tmpfs_op_ns)
         self.clock.advance(cost)
-        self.tracer.record(self.clock.now_ns, self.fs_type, "write", cost)
+        if self.tracer.active:
+            self.tracer.emit(self.clock.now_ns, f"{self.fs_type}.write", cost)
 
     def _charge_fsync(self, ino: int, datasync: bool) -> None:
         """Charge the cost of persisting ``ino``."""
@@ -184,10 +187,6 @@ class Filesystem:
         root = self.iget(self.root_ino)
         assert isinstance(root, DirectoryInode)
         return root
-
-    def inode_count(self) -> int:
-        """Number of live inodes."""
-        return len(self._inodes)
 
     def used_bytes(self) -> int:
         """Approximate bytes of file data stored."""
@@ -584,17 +583,3 @@ class Filesystem:
         caches or writeback state drop the dead inode's entries here, as the
         kernel's inode eviction discards an unlinked file's dirty pages
         instead of writing them back."""
-
-    # -------------------------------------------------------------- helpers
-    def walk_tree(self, dir_ino: int | None = None) -> Iterable[tuple[str, Inode]]:
-        """Depth-first walk yielding ``(path, inode)`` pairs, for debugging/tests."""
-        start = dir_ino if dir_ino is not None else self.root_ino
-
-        def _walk(ino: int, prefix: str):
-            inode = self.iget(ino)
-            yield prefix or "/", inode
-            if isinstance(inode, DirectoryInode):
-                for name, child_ino in list(inode.entries.items()):
-                    yield from _walk(child_ino, f"{prefix}/{name}")
-
-        yield from _walk(start, "")

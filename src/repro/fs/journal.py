@@ -159,15 +159,6 @@ class Ext4Journal:
         return (len(self._running) + len(self._running_sizes) +
                 sum(len(ops) for ops in self._running_dataops.values()))
 
-    def durable_inode_count(self) -> int:
-        """Inodes in the committed image."""
-        return len(self._image)
-
-    def durable_size(self, ino: int) -> int | None:
-        """Committed i_size of ``ino`` (None when not in the image)."""
-        durable = self._image.get(ino)
-        return None if durable is None else durable.size
-
     # ------------------------------------------------------------- recording
     def record(self, op: str, **fields) -> None:
         """Append one metadata record to the running transaction."""

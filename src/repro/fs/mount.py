@@ -53,11 +53,6 @@ class Mount:
     peer_group: int | None = None
     mount_id: int = field(default_factory=lambda: next(_mount_id_counter))
 
-    @property
-    def is_bind(self) -> bool:
-        """True for bind mounts (a mount whose root is not the fs root)."""
-        return self.root_ino != self.fs.root_ino
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Mount(id={self.mount_id}, fs={self.fs.name!r}, "
                 f"at={self.mountpoint_path!r}, prop={self.propagation.value})")
@@ -78,10 +73,6 @@ class MountNamespace:
             self.mounts.append(self.root_mount)
 
     # ------------------------------------------------------------- inspection
-    def mount_count(self) -> int:
-        """Number of mounts in the namespace."""
-        return len(self.mounts)
-
     def mounts_under(self, mount: Mount) -> list[Mount]:
         """All mounts whose parent chain includes ``mount`` (excluding itself)."""
         out = []
@@ -114,15 +105,6 @@ class MountNamespace:
         return rows
 
     # ------------------------------------------------------------- mutation
-    def set_root(self, fs: Filesystem, root_ino: int | None = None) -> Mount:
-        """Install the namespace's root mount (only valid when empty)."""
-        if self.root_mount is not None:
-            raise FsError.ebusy("namespace already has a root mount")
-        self.root_mount = Mount(fs=fs, root_ino=root_ino or fs.root_ino,
-                                mountpoint_path="/")
-        self.mounts.append(self.root_mount)
-        return self.root_mount
-
     def mount(self, fs: Filesystem, at: tuple[Mount, int], path: str,
               root_ino: int | None = None, read_only: bool = False,
               propagate: bool = True) -> Mount:

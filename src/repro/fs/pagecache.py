@@ -42,7 +42,6 @@ each operation touches the LRU structure once per extent.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 PAGE_SIZE = 4096
@@ -212,10 +211,6 @@ class PageCache:
         if ino is not None:
             return self._dirty_count.get(ino, 0)
         return sum(self._dirty_count.values())
-
-    def dirty_inodes(self) -> list[int]:
-        """Inode numbers that currently have dirty pages, sorted."""
-        return sorted(self._dirty_count)
 
     def is_resident(self, ino: int, page: int) -> bool:
         """True when the page is cached (and refresh its LRU position)."""
@@ -494,11 +489,8 @@ class PageCache:
         return (0, take) if was_dirty else (take, 0)
 
     def balance_pressure(self) -> None:
-        """Let the memory controllers react to growth: the per-cgroup limits
-        first (memcg reclaim), then the kernel-wide budget — the same
-        layering as memcg reclaim under global reclaim in Linux."""
-        if self.memcg is not None:
-            self.memcg.balance()
+        """Let the memory controllers react to growth (``VmSysctl.balance``
+        applies the per-cgroup limits, then the kernel-wide budget)."""
         if self.pressure is not None:
             self.pressure.balance()
 

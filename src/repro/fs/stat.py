@@ -62,8 +62,3 @@ class StatVfs:
     def bytes_total(self) -> int:
         """Total capacity in bytes."""
         return self.f_bsize * self.f_blocks
-
-    @property
-    def bytes_free(self) -> int:
-        """Free capacity in bytes."""
-        return self.f_bsize * self.f_bfree

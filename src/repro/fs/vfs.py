@@ -10,7 +10,7 @@ check whose absence in CntrFS reproduces xfstests failure #228.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from sys import intern as _intern
 
 from repro.fs.constants import (
@@ -115,10 +115,6 @@ class Credentials:
     def all_gids(self) -> frozenset[int]:
         """Primary plus supplementary group ids."""
         return self.groups | {self.gid}
-
-    def with_caps(self, caps: frozenset[str]) -> "Credentials":
-        """Copy of the credentials with a replaced capability set."""
-        return replace(self, capabilities=frozenset(caps))
 
 
 class VNode:

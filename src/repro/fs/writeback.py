@@ -602,6 +602,58 @@ class ReclaimStats:
         return self.pages_dropped + self.pages_flushed
 
 
+def reclaim_lru(filesystems: "list[Filesystem]", excess: Callable[[], int],
+                stats, ino_filters: dict | None = None) -> int:
+    """The one LRU reclaim loop, shared by global and per-cgroup reclaim.
+
+    While ``excess()`` is positive, the victim is the LRU-oldest extent
+    across ``filesystems`` (their caches share one sequence counter);
+    ``ino_filters`` maps a page cache to the inode predicate restricting its
+    victims (the memcg's owned inodes).  Clean pages are dropped, dirty
+    pages are flushed through the owning engine first
+    (``WB_REASON_RECLAIM``) — the kernel's shrink_page_list order.  A flush
+    can change the excess (it shrinks ``Dirty`` and so grows the global
+    budget), so it is re-read every iteration.  Stops when a pass makes no
+    progress; ``stats`` (:class:`ReclaimStats` or a cgroup's ``MemcgStats``)
+    gets the page counts, one ``reclaims`` tick and the bytes freed, which
+    are returned.
+    """
+    freed = 0
+    while True:
+        over = excess()
+        if over <= 0:
+            break
+        victim = victim_filter = best_seq = None
+        for fs in filesystems:
+            cache = getattr(fs, "page_cache", None)
+            if cache is None:
+                continue
+            ino_filter = None if ino_filters is None else ino_filters[cache]
+            seq = cache.oldest_seq(ino_filter)
+            if seq is not None and (best_seq is None or seq < best_seq):
+                best_seq, victim, victim_filter = seq, fs, ino_filter
+        if victim is None:
+            break
+        cache = victim.page_cache
+        engine = getattr(victim, "writeback", None)
+
+        def flush_inode(ino: int, _engine=engine) -> None:
+            if _engine is not None:
+                _engine.flush(ino, reason=WB_REASON_RECLAIM)
+
+        clean, flushed = cache.reclaim_oldest(-(-over // cache.page_size),
+                                              flush_inode, victim_filter)
+        if clean == 0 and flushed == 0:
+            break
+        stats.pages_dropped += clean
+        stats.pages_flushed += flushed
+        freed += (clean + flushed) * cache.page_size
+    if freed:
+        stats.reclaims += 1
+        stats.bytes_reclaimed += freed
+    return freed
+
+
 class VmSysctl:
     """The kernel-wide ``/proc/sys/vm`` knobs and the memory model behind them.
 
@@ -729,6 +781,8 @@ class VmSysctl:
             cache.share_seq_counter(self._page_seq)
             cache.pressure = self
         if self.memcg is not None:
+            # memcg reclaim walks this registry's filesystems.
+            self.memcg.vm = self
             self.memcg.register_fs(fs)
 
     def unregister_fs(self, fs: "Filesystem") -> None:
@@ -829,17 +883,18 @@ class VmSysctl:
                    - self.dirty_bytes_total())
 
     def balance(self) -> int:
-        """Reclaim until the page caches fit the memory budget.
+        """Apply the memory limits after a registered page cache grew.
 
-        Called by every registered page cache after growth.  Victims are the
-        globally LRU-oldest extents across all registered filesystems (their
-        caches share one sequence counter): clean pages are dropped, dirty
-        pages are flushed through the owning engine first
-        (``WB_REASON_RECLAIM``) — which also shrinks ``Dirty`` and thereby
-        *grows* the live budget, so the loop re-reads both every iteration.
-        Each pass that reclaimed something accumulates ``vfs_cache_pressure``
-        dcache-shrink debt.  Returns the bytes reclaimed.
+        The per-cgroup limits go first (``memcg.balance()``), then the
+        kernel-wide budget sees the result — the same layering as memcg
+        reclaim under global reclaim in Linux.  Global reclaim runs
+        :func:`reclaim_lru` over every registered filesystem until
+        ``Cached`` fits :meth:`cache_budget_bytes`; each pass that reclaimed
+        something accumulates ``vfs_cache_pressure`` dcache-shrink debt.
+        Returns the bytes reclaimed by the global pass.
         """
+        if self.memcg is not None:
+            self.memcg.balance()
         if self._balancing:
             return 0
         budget = self.cache_budget_bytes()
@@ -847,40 +902,11 @@ class VmSysctl:
             return 0
         self._balancing = True
         try:
-            freed = 0
-            while True:
-                budget = self.cache_budget_bytes()
-                excess = self.cached_bytes_total() - budget
-                if excess <= 0:
-                    break
-                victim = None
-                best_seq = None
-                for fs in self._filesystems:
-                    cache = getattr(fs, "page_cache", None)
-                    if cache is None:
-                        continue
-                    seq = cache.oldest_seq()
-                    if seq is not None and (best_seq is None or seq < best_seq):
-                        best_seq, victim = seq, fs
-                if victim is None:
-                    break
-                cache = victim.page_cache
-                engine = getattr(victim, "writeback", None)
-
-                def flush_inode(ino: int, _engine=engine) -> None:
-                    if _engine is not None:
-                        _engine.flush(ino, reason=WB_REASON_RECLAIM)
-
-                want = -(-excess // cache.page_size)
-                clean, flushed = cache.reclaim_oldest(want, flush_inode)
-                if clean == 0 and flushed == 0:
-                    break
-                self.reclaim_stats.pages_dropped += clean
-                self.reclaim_stats.pages_flushed += flushed
-                freed += (clean + flushed) * cache.page_size
+            freed = reclaim_lru(
+                self._filesystems,
+                lambda: self.cached_bytes_total() - self.cache_budget_bytes(),
+                self.reclaim_stats)
             if freed:
-                self.reclaim_stats.reclaims += 1
-                self.reclaim_stats.bytes_reclaimed += freed
                 self._shrink_dcache()
             return freed
         finally:

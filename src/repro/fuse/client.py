@@ -178,7 +178,7 @@ class FuseClientFs(Filesystem):
         self.clock.advance(overhead)
         tracer = self.tracer
         if tracer.active:
-            tracer.record(self.clock.now_ns, "fuse", opcode.name.lower(), overhead)
+            tracer.emit(self.clock.now_ns, f"fuse.{opcode.name.lower()}", overhead)
         request = FuseRequest(opcode, nodeid, args=args, payload=payload)
         reply = self.connection.request(request)
         if not reply.ok:
@@ -204,8 +204,8 @@ class FuseClientFs(Filesystem):
         self.clock.advance(overhead)
         tracer = self.tracer
         if tracer.active:
-            tracer.record(self.clock.now_ns, "fuse", opcode.name.lower(),
-                          overhead, detail=f"coalesced={nreq}")
+            tracer.emit(self.clock.now_ns, f"fuse.{opcode.name.lower()}",
+                        overhead, coalesced=nreq)
         request = FuseRequest(opcode, nodeid, args=args, payload=payload,
                               coalesced=nreq)
         reply = self.connection.request(request)
@@ -746,7 +746,3 @@ class FuseClientFs(Filesystem):
         if reply.statfs is not None:
             return reply.statfs
         return super().statfs()
-
-    def fsync_connection_stats(self):
-        """Connection statistics (request counts), for tests and reports."""
-        return self.connection.stats

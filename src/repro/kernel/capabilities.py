@@ -7,7 +7,7 @@ privilege the container had (design §3.2.3, property (1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.fs.vfs import ALL_CAPS, DEFAULT_CONTAINER_CAPS
 
@@ -49,21 +49,6 @@ class CapabilitySet:
             inheritable=self.inheritable - caps,
             bounding=self.bounding - caps,
         )
-
-    def limit_to_bounding(self, bounding: frozenset[str] | set[str]) -> "CapabilitySet":
-        """Intersect every set with a new bounding set (entering a container)."""
-        bounding = frozenset(bounding)
-        return CapabilitySet(
-            effective=self.effective & bounding,
-            permitted=self.permitted & bounding,
-            inheritable=self.inheritable & bounding,
-            bounding=bounding,
-        )
-
-    def with_effective(self, effective: frozenset[str] | set[str]) -> "CapabilitySet":
-        """Replace the effective set (must stay within permitted)."""
-        effective = frozenset(effective) & self.permitted
-        return replace(self, effective=effective)
 
     @classmethod
     def for_host_root(cls) -> "CapabilitySet":

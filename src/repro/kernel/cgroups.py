@@ -55,12 +55,6 @@ class CgroupLimits:
     pids_max: int | None = None
     blkio_weight: int = 500
 
-    def cpu_fraction(self) -> float:
-        """Fraction of one CPU this cgroup may use (1.0 = unlimited/one full core)."""
-        if self.cpu_quota_us is None:
-            return 1.0
-        return min(1.0, self.cpu_quota_us / self.cpu_period_us)
-
     def cpu_weight(self) -> int:
         """The v2 ``cpu.weight`` view of the stored ``cpu_shares``."""
         return cpu_weight_from_shares(self.cpu_shares)

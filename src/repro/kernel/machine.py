@@ -98,10 +98,6 @@ class Machine:
         """The machine's virtual clock."""
         return self.kernel.clock
 
-    def syscalls_for(self, process: Process) -> Syscalls:
-        """Syscall facade bound to an arbitrary process."""
-        return Syscalls(self.kernel, process)
-
     def spawn_host_process(self, argv: list[str],
                            env: dict[str, str] | None = None) -> Syscalls:
         """Fork a new host process off init and return its syscall facade."""

@@ -18,10 +18,11 @@ mechanisms the conformance wave pins:
 * **per-cgroup LRU reclaim** — growth past the tightest ``memory.max`` along
   the charge path evicts the LRU-oldest extents *owned by that cgroup's
   subtree* across all registered filesystems, flushing dirty victims through
-  the owning engine first (``WB_REASON_RECLAIM``), exactly like the global
-  reclaim of :meth:`repro.fs.writeback.VmSysctl.balance` — which still runs
-  *after* the memcg pass, enforcing the kernel-wide budget on whatever the
-  per-cgroup limits let through.
+  the owning engine first (``WB_REASON_RECLAIM``).  It is the global reclaim
+  loop, :func:`repro.fs.writeback.reclaim_lru`, restricted to the subtree's
+  inodes; :meth:`repro.fs.writeback.VmSysctl.balance` runs the memcg pass
+  first, then enforces the kernel-wide budget on whatever the per-cgroup
+  limits let through.
 * **write throttling** — a writer dirtying data while ``memory.current`` sits
   above ``memory.high`` is stalled for a deterministic
   ``bytes * throttle_ns_per_byte`` of virtual time (the shape of Linux's
@@ -40,13 +41,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.fs.writeback import WB_REASON_RECLAIM
+from repro.fs.writeback import reclaim_lru
 from repro.kernel.cgroups import Cgroup, CgroupHierarchy, CgroupIoStat
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fs.filesystem import Filesystem
     from repro.fs.pagecache import PageCache
-    from repro.fs.writeback import WritebackEngine
+    from repro.fs.writeback import VmSysctl, WritebackEngine
     from repro.sim.clock import VirtualClock
     from repro.sim.psi import PsiGroup, PsiRegistry
     from repro.sim.trace import Tracer
@@ -81,12 +82,14 @@ class MemcgController:
         #: ``Syscalls._charge`` (the model's ``current``).  Charges are
         #: attributed to this process's cgroup.
         self._current_pid = 0
-        self._filesystems: list["Filesystem"] = []
+        #: The ``VmSysctl`` whose registered filesystems memcg reclaim walks;
+        #: set when that registry forwards a filesystem here.
+        self.vm: "VmSysctl | None" = None
         #: cache -> {ino -> owning cgroup} / {ino -> charged bytes}.  Keyed
         #: by the cache/engine objects themselves (identity hash), not by
-        #: ``id()``: a kernel snapshot deep-copies the whole object graph and
+        #: ``id()``: a kernel snapshot pickles the whole object graph and
         #: raw ids do not survive the copy, while object keys are remapped
-        #: consistently by the deepcopy memo.
+        #: consistently by the pickle memo.
         self._cache_owner: dict["PageCache", dict[int, Cgroup]] = {}
         self._cache_charged: dict["PageCache", dict[int, int]] = {}
         #: engine -> {ino -> owning cgroup} / {ino -> charged dirty bytes}.
@@ -121,9 +124,6 @@ class MemcgController:
     # ------------------------------------------------------------ registration
     def register_fs(self, fs: "Filesystem") -> None:
         """Bring a mounted filesystem's cache and engine under the controller."""
-        if fs in self._filesystems:
-            return
-        self._filesystems.append(fs)
         cache = getattr(fs, "page_cache", None)
         if cache is not None:
             cache.memcg = self
@@ -141,9 +141,6 @@ class MemcgController:
 
     def unregister_fs(self, fs: "Filesystem") -> None:
         """Detach a filesystem (last umount), releasing its charges."""
-        if fs not in self._filesystems:
-            return
-        self._filesystems.remove(fs)
         cache = getattr(fs, "page_cache", None)
         if cache is not None and getattr(cache, "memcg", None) is self:
             self.cache_cleared(cache)
@@ -307,9 +304,9 @@ class MemcgController:
     def balance(self) -> None:
         """Enforce ``memory.max`` for every cgroup whose charges grew.
 
-        Called by every registered page cache after growth (before the
-        kernel-wide :meth:`VmSysctl.balance`, so the per-container limits are
-        applied first and the global budget sees the result).  A no-op unless
+        Called by :meth:`VmSysctl.balance` after a registered page cache grew,
+        before the kernel-wide budget, so the per-container limits are
+        applied first and the global budget sees the result.  A no-op unless
         some charge path carries a limit — the default configuration never
         enters the loop.
         """
@@ -371,44 +368,12 @@ class MemcgController:
         ``memory.current`` fits ``limit`` (or nothing owned remains)."""
         t0 = self.clock.now_ns
         stats = node.memcg_stats
-        freed = 0
-        preds = {}
-        for fs in self._filesystems:
-            cache = getattr(fs, "page_cache", None)
-            if cache is not None:
-                preds[cache] = self._owned_pred(cache, node)
-        while node.mem_cache_bytes > limit:
-            victim_fs = None
-            victim_pred = None
-            best_seq = None
-            for fs in self._filesystems:
-                cache = getattr(fs, "page_cache", None)
-                if cache is None:
-                    continue
-                pred = preds[cache]
-                seq = cache.oldest_seq(ino_filter=pred)
-                if seq is not None and (best_seq is None or seq < best_seq):
-                    best_seq, victim_fs, victim_pred = seq, fs, pred
-            if victim_fs is None:
-                break
-            cache = victim_fs.page_cache
-            engine = getattr(victim_fs, "writeback", None)
-
-            def flush_inode(ino: int, _engine=engine) -> None:
-                if _engine is not None:
-                    _engine.flush(ino, reason=WB_REASON_RECLAIM)
-
-            want = -(-(node.mem_cache_bytes - limit) // cache.page_size)
-            clean, flushed = cache.reclaim_oldest(want, flush_inode,
-                                                  ino_filter=victim_pred)
-            if clean == 0 and flushed == 0:
-                break
-            stats.pages_dropped += clean
-            stats.pages_flushed += flushed
-            freed += (clean + flushed) * cache.page_size
-        if freed:
-            stats.reclaims += 1
-            stats.bytes_reclaimed += freed
+        filesystems = self.vm.filesystems()
+        owned = {fs.page_cache: self._owned_pred(fs.page_cache, node)
+                 for fs in filesystems
+                 if getattr(fs, "page_cache", None) is not None}
+        freed = reclaim_lru(filesystems, lambda: node.mem_cache_bytes - limit,
+                            stats, owned)
         delta = self.clock.now_ns - t0
         stats.reclaim_cost_ns += delta
         if delta > 0:

@@ -147,20 +147,6 @@ class UserNamespace(Namespace):
     def __post_init__(self) -> None:
         self.kind = NamespaceKind.USER
 
-    def map_uid_to_host(self, uid: int) -> int | None:
-        """Translate a namespace uid to the parent (host) uid."""
-        for inside, outside, count in self.uid_map:
-            if inside <= uid < inside + count:
-                return outside + (uid - inside)
-        return None
-
-    def map_gid_to_host(self, gid: int) -> int | None:
-        """Translate a namespace gid to the parent (host) gid."""
-        for inside, outside, count in self.gid_map:
-            if inside <= gid < inside + count:
-                return outside + (gid - inside)
-        return None
-
     def clone_for_unshare(self) -> "UserNamespace":
         return UserNamespace(kind=NamespaceKind.USER, parent=self)
 

@@ -233,13 +233,6 @@ class EpollInstance(KernelObject):
             raise FsError.eexist(str(fd))
         self._watched[fd] = (obj, set(events))
 
-    def modify(self, fd: int, events: set[str]) -> None:
-        """``EPOLL_CTL_MOD``."""
-        if fd not in self._watched:
-            raise FsError.enoent(str(fd))
-        obj, _ = self._watched[fd]
-        self._watched[fd] = (obj, set(events))
-
     def remove(self, fd: int) -> None:
         """``EPOLL_CTL_DEL``."""
         self._watched.pop(fd, None)
@@ -255,10 +248,6 @@ class EpollInstance(KernelObject):
             if len(ready) >= max_events:
                 break
         return ready
-
-    def watched_count(self) -> int:
-        """Number of registered file descriptors."""
-        return len(self._watched)
 
 
 class PtyPair:

@@ -115,10 +115,6 @@ class Process:
         """The pid as seen from inside the process's own PID namespace."""
         return self.pid_ns.vpid_of(self.pid) or self.pid
 
-    def shares_namespace(self, other: "Process", kind: NamespaceKind) -> bool:
-        """True when both processes are in the same namespace of ``kind``."""
-        return self.namespaces[kind].ns_id == other.namespaces[kind].ns_id
-
     # ------------------------------------------------------------- fd table
     def alloc_fd(self, obj: object, fd: int | None = None) -> int:
         """Install an object into the fd table, returning the fd number."""

@@ -81,10 +81,6 @@ class Syscalls:
             return None
         return self.process.credentials()
 
-    def for_process(self, process: Process) -> "Syscalls":
-        """A facade bound to another process (used after fork)."""
-        return Syscalls(self.kernel, process)
-
     # ------------------------------------------------------------- identity
     def getpid(self) -> int:
         """Pid as seen inside the process's PID namespace."""
@@ -104,14 +100,6 @@ class Syscalls:
     def getpid_global(self) -> int:
         """Host (global) pid."""
         return self.process.pid
-
-    def getuid(self) -> int:
-        """Real uid."""
-        return self.process.uid
-
-    def getgid(self) -> int:
-        """Real gid."""
-        return self.process.gid
 
     def setuid(self, uid: int) -> None:
         """Change uid (requires CAP_SETUID when not already that uid)."""
@@ -136,14 +124,6 @@ class Syscalls:
     def setrlimit_fsize(self, limit: int | None) -> None:
         """Set RLIMIT_FSIZE."""
         self.process.rlimits.fsize_bytes = limit
-
-    def capset_drop(self, caps: set[str]) -> None:
-        """Drop capabilities from every set."""
-        self.process.caps = self.process.caps.drop(frozenset(caps))
-
-    def apply_lsm_profile(self, profile_name: str) -> None:
-        """Apply an AppArmor/SELinux profile to the calling process."""
-        self.process.lsm_profile = self.kernel.lsm.get(profile_name)
 
     def sethostname(self, hostname: str) -> None:
         """Set the hostname of the process's UTS namespace."""
@@ -187,9 +167,6 @@ class Syscalls:
         if not isinstance(obj, OpenFile):
             raise FsError.einval(f"fd {fd} is not a regular file")
         return obj
-
-    def _object(self, fd: int) -> object:
-        return self.process.get_fd(fd)
 
     def read(self, fd: int, size: int) -> bytes:
         """``read(2)`` on any descriptor type."""
@@ -507,18 +484,6 @@ class Syscalls:
         if not any(m.fs is fs for m in self.process.mnt_ns.mounts):
             self.kernel.vm.unregister_fs(fs)
 
-    def mount_make_rprivate(self, target: str = "/") -> None:
-        """``mount --make-rprivate``."""
-        self._charge()
-        vnode = self.vfs.resolve(self._ctx(), target)
-        self.process.mnt_ns.make_private(vnode.mount, recursive=True)
-
-    def mount_make_rshared(self, target: str = "/") -> None:
-        """``mount --make-rshared``."""
-        self._charge()
-        vnode = self.vfs.resolve(self._ctx(), target)
-        self.process.mnt_ns.make_shared(vnode.mount, recursive=True)
-
     def mount_table(self) -> list[dict]:
         """The caller's view of ``/proc/self/mounts``."""
         return self.process.mnt_ns.mount_table()
@@ -648,14 +613,6 @@ class Syscalls:
         if not isinstance(obj, KernelObject):
             raise FsError.eperm("only kernel objects are pollable in this simulation")
         epoll.add(fd, obj, events)
-
-    def epoll_ctl_del(self, epfd: int, fd: int) -> None:
-        """``epoll_ctl(EPOLL_CTL_DEL)``."""
-        self._charge()
-        epoll = self.process.get_fd(epfd)
-        if not isinstance(epoll, EpollInstance):
-            raise FsError.einval("not an epoll fd")
-        epoll.remove(fd)
 
     def epoll_wait(self, epfd: int, max_events: int = 64) -> list[tuple[int, set[str]]]:
         """``epoll_wait(2)`` (non-blocking poll of readiness)."""

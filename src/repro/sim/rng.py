@@ -31,7 +31,7 @@ class DeterministicRandom(random.Random):
     def __reduce__(self):
         # random.Random's own __reduce__ rebuilds with the default seed and
         # only restores the stream position, silently dropping
-        # ``_initial_seed`` — after a copy/deepcopy (kernel snapshot/fork),
+        # ``_initial_seed`` — after a copy or pickle (kernel snapshot/fork),
         # ``substream`` would then derive from the wrong root.  Rebuild with
         # the real seed, then restore the exact stream position.
         return (_rebuild_rng, (self._initial_seed, self.getstate()))

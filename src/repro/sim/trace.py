@@ -1,21 +1,19 @@
 """Tracepoint registry: named, typed kernel tracepoints with subscribers.
 
-Grown from the original flat event log in three steps that each preserve the
-hot-path contract established by the raw-speed work (PR 9):
+Every event enters through one call, :meth:`Tracer.emit`:
 
 * **Gating.**  ``tracer.active`` is a plain attribute — true iff full
   tracing is enabled, a per-event filter entry exists, or a subscriber is
-  attached.  Hot call sites read it (or rely on :meth:`Tracer.record`'s
-  first line) and pay one attribute load + branch when observability is
-  off; nothing else runs.  ``enabled`` is now a property whose setter keeps
-  ``active`` in sync, so historical ``tracer.enabled = True`` call sites
-  keep working.
+  attached.  Call sites test it before building any arguments, so with
+  observability off they pay one attribute load + branch and nothing else
+  runs.  ``enabled`` is a property whose setter keeps ``active`` in sync.
 * **Tracepoints.**  :data:`CORE_TRACEPOINTS` declares the stable, typed
   probe points (sched switch/throttle, memcg reclaim, writeback flush,
-  journal commit, FUSE dispatch); :meth:`Tracer.emit` formats their fields
-  deterministically and rejects undeclared fields on declared points.
-  Undeclared names may still be emitted — they register dynamically, like
-  ftrace's ``trace_marker``.
+  journal commit, FUSE dispatch); ``emit`` renders their fields in
+  declaration order and rejects undeclared fields on declared points.
+  Undeclared names (the per-filesystem ``fs_type.op`` and per-opcode
+  ``fuse.op`` events) render their fields sorted and join
+  ``available_events`` once seen, like ftrace's ``trace_marker``.
 * **Subscribers.**  :meth:`Tracer.attach` registers a callback on one
   tracepoint (or ``"*"`` for all); subscribers see every matching event
   even when collection is off, and never alter the virtual clock.
@@ -33,8 +31,8 @@ from typing import Callable, Iterator
 
 #: The declared tracepoint catalogue: name -> ordered field tuple.  These are
 #: the probes wired into the kernel at fixed sites; dynamically emitted names
-#: (the historical ``fs_type.op`` records) join ``available_events`` as they
-#: are first seen.
+#: (the ``fs_type.op`` events) join ``available_events`` as they are first
+#: seen.
 CORE_TRACEPOINTS: dict[str, tuple[str, ...]] = {
     "sched.switch": ("prev", "next"),
     "sched.throttle": ("group", "until_ns"),
@@ -76,7 +74,7 @@ class Tracer:
     Collection (counters + the bounded ring) runs when tracing is enabled
     globally or the event's tracepoint is in the ``set_event`` filter;
     subscriber dispatch runs whenever a matching subscriber is attached.
-    With none of the three, ``record``/``emit`` return after one branch.
+    With none of the three, ``emit`` returns after one branch.
     """
 
     def __init__(self, enabled: bool = False, capacity: int | None = 200_000) -> None:
@@ -93,7 +91,6 @@ class Tracer:
         self._event_filter: set[str] = set()
         self._subscribers: dict[str, list[TraceSubscription]] = {}
         self._next_token = 0
-        self._declared: dict[str, tuple[str, ...]] = dict(CORE_TRACEPOINTS)
 
     # ------------------------------------------------------------- gating
     @property
@@ -111,17 +108,9 @@ class Tracer:
                            or self._subscribers)
 
     # -------------------------------------------------------- tracepoints
-    def declare(self, name: str, fields: tuple[str, ...]) -> None:
-        """Declare a typed tracepoint (idempotent for identical fields)."""
-        known = self._declared.get(name)
-        if known is not None and known != fields:
-            raise ValueError(f"tracepoint {name} already declared with fields "
-                             f"{known}, not {fields}")
-        self._declared[name] = fields
-
     def available_events(self) -> list[str]:
         """Every declared or observed tracepoint name, sorted."""
-        names = set(self._declared)
+        names = set(CORE_TRACEPOINTS)
         names.update(self._counts)
         names.update(self._event_filter)
         names.update(k for k in self._subscribers if k != "*")
@@ -177,47 +166,19 @@ class Tracer:
         self._sync_active()
 
     # ---------------------------------------------------------- recording
-    def record(self, timestamp_ns: int, category: str, name: str,
-               cost_ns: int = 0, detail: str = "") -> None:
-        """Record one event (one branch and out when nothing is attached)."""
-        if not self.active:
-            return
-        key = f"{category}.{name}"
-        event = None
-        if self._enabled or key in self._event_filter:
-            self._counts[key] += 1
-            self._costs[key] += int(cost_ns)
-            if self.capacity is not None and len(self._events) >= self.capacity:
-                self.dropped += 1
-                self.dropped_by_key[key] += 1
-            else:
-                event = TraceEvent(timestamp_ns, category, name,
-                                   int(cost_ns), detail)
-                self._events.append(event)
-        subscribers = self._subscribers
-        if subscribers:
-            direct = subscribers.get(key)
-            wildcard = subscribers.get("*")
-            if direct or wildcard:
-                if event is None:
-                    event = TraceEvent(timestamp_ns, category, name,
-                                       int(cost_ns), detail)
-                for sub in direct or ():
-                    sub.callback(event)
-                for sub in wildcard or ():
-                    sub.callback(event)
-
     def emit(self, timestamp_ns: int, name: str, cost_ns: int = 0,
              **fields) -> None:
-        """Fire a named tracepoint with keyword fields.
+        """Fire tracepoint ``name`` (``category.event``) with keyword fields.
 
         Declared tracepoints render their fields in declaration order and
-        reject unknown ones; undeclared names render fields sorted and
-        register the name dynamically.
+        reject unknown ones; undeclared names render fields sorted.  The
+        event is counted and kept in the bounded ring when tracing is on or
+        ``name`` is in the ``set_event`` filter, and handed to every
+        matching subscriber.  One branch and out when nothing is attached.
         """
         if not self.active:
             return
-        declared = self._declared.get(name)
+        declared = CORE_TRACEPOINTS.get(name)
         if declared is not None:
             unknown = [f for f in fields if f not in declared]
             if unknown:
@@ -226,9 +187,27 @@ class Tracer:
             order = [f for f in declared if f in fields]
         else:
             order = sorted(fields)
-        detail = " ".join(f"{f}={fields[f]}" for f in order)
-        category, _, event_name = name.partition(".")
-        self.record(timestamp_ns, category, event_name, cost_ns, detail)
+        collect = self._enabled or name in self._event_filter
+        subscribers = self._subscribers
+        direct = subscribers.get(name) if subscribers else None
+        wildcard = subscribers.get("*") if subscribers else None
+        if not (collect or direct or wildcard):
+            return
+        category, _, event_name = name.rpartition(".")
+        event = TraceEvent(timestamp_ns, category, event_name, int(cost_ns),
+                           " ".join(f"{f}={fields[f]}" for f in order))
+        if collect:
+            self._counts[name] += 1
+            self._costs[name] += event.cost_ns
+            if self.capacity is not None and len(self._events) >= self.capacity:
+                self.dropped += 1
+                self.dropped_by_key[name] += 1
+            else:
+                self._events.append(event)
+        for sub in direct or ():
+            sub.callback(event)
+        for sub in wildcard or ():
+            sub.callback(event)
 
     # ------------------------------------------------------------ reading
     def events(self, category: str | None = None) -> Iterator[TraceEvent]:

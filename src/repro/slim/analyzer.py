@@ -51,13 +51,6 @@ class SlimReport:
             return 0.0
         return (1.0 - self.slim_size / self.original_size) * 100.0
 
-    @property
-    def file_reduction_percent(self) -> float:
-        """File-count reduction achieved, in percent."""
-        if self.original_files == 0:
-            return 0.0
-        return (1.0 - self.slim_files / self.original_files) * 100.0
-
 
 class DockerSlim:
     """Builds slim images from access traces."""

@@ -3444,8 +3444,3 @@ def test_tracefs_controls_collection(env):
         tracer.clear()
         tracer.clear_events()
         tracer.enabled = False
-
-
-def tests_by_id() -> dict[str, TestCase]:
-    """Map ``generic/NNN`` identifiers to test cases."""
-    return {case.test_id: case for case in GENERIC_TESTS}

@@ -28,8 +28,8 @@ class TestNotSupported(Exception):
     """Raised by a test when the filesystem under test lacks a required feature.
 
     xfstests reports these as "notrun"; the paper's accounting counts the four
-    CntrFS-specific cases as failures of the full generic group, so the runner
-    can be configured either way.
+    CntrFS-specific cases as failures of the full generic group, and so does
+    the runner.
     """
 
 
@@ -53,7 +53,7 @@ class TestResult:
     """Outcome of one test."""
 
     case: TestCase
-    status: str              # "pass" | "fail" | "notrun"
+    status: str              # "pass" | "fail"
     message: str = ""
 
     @property
@@ -212,7 +212,7 @@ class EnvironmentSnapshot:
     """A booted :class:`TestEnvironment` frozen for cheap per-case cloning.
 
     Building an environment boots a machine, spawns processes and mounts the
-    filesystem under test — ~2-3x the cost of deep-copying the finished object
+    filesystem under test — ~2-3x the cost of copying the finished object
     graph.  The snapshot captures the environment once through
     :meth:`repro.kernel.kernel.Kernel.snapshot` (the environment rides along
     as a companion so its syscall handles stay wired to the cloned kernel);
@@ -262,11 +262,6 @@ class RunSummary:
         return sum(1 for r in self.results if r.status == "fail")
 
     @property
-    def notrun(self) -> int:
-        """Number of skipped tests."""
-        return sum(1 for r in self.results if r.status == "notrun")
-
-    @property
     def pass_rate(self) -> float:
         """Fraction of tests that passed."""
         return self.passed / self.total if self.total else 0.0
@@ -279,8 +274,7 @@ class RunSummary:
         """Render a short report like the one in EXPERIMENTS.md."""
         lines = [f"xfstests generic group on {self.environment}",
                  f"  passed {self.passed}/{self.total} "
-                 f"({self.pass_rate * 100:.2f}%), failed {self.failed}, "
-                 f"not run {self.notrun}"]
+                 f"({self.pass_rate * 100:.2f}%), failed {self.failed}"]
         for result in self.results:
             if result.status != "pass":
                 lines.append(f"  {result.case.test_id} [{result.status}] "
@@ -288,21 +282,25 @@ class RunSummary:
         return "\n".join(lines)
 
 
-class XfstestsRunner:
-    """Runs the registered generic tests against one environment."""
+def sandbox(env: TestEnvironment, case: TestCase) -> TestEnvironment:
+    """``env`` with its test directory narrowed to a fresh per-case subdir."""
+    workdir = f"{env.test_dir}/{case.test_id.replace('/', '-')}"
+    try:
+        env.sc.makedirs(workdir)
+    except FsError:
+        pass
+    return TestEnvironment(name=env.name, machine=env.machine, sc=env.sc,
+                           test_dir=workdir, scratch_dir=env.scratch_dir,
+                           fs_under_test=env.fs_under_test,
+                           is_cntrfs=env.is_cntrfs)
 
-    def __init__(self, env_factory: Callable[[], TestEnvironment],
-                 fresh_env_per_test: bool = False,
-                 snapshot_per_test: bool = True,
-                 notrun_counts_as_failure: bool = True) -> None:
+
+class XfstestsRunner:
+    """Runs the registered generic tests, each on its own fork of one
+    pre-booted environment, so no case sees another's leftover state."""
+
+    def __init__(self, env_factory: Callable[[], TestEnvironment]) -> None:
         self.env_factory = env_factory
-        self.fresh_env_per_test = fresh_env_per_test
-        #: Clone each case's environment from one pre-booted snapshot instead
-        #: of sharing a single mutable environment across all cases.  Isolation
-        #: of ``fresh_env_per_test`` at a fraction of the wall-clock cost;
-        #: ignored when ``fresh_env_per_test`` explicitly asks for re-boots.
-        self.snapshot_per_test = snapshot_per_test
-        self.notrun_counts_as_failure = notrun_counts_as_failure
 
     def run(self, cases=None, group: str | None = None) -> RunSummary:
         """Execute the tests and return a summary."""
@@ -311,43 +309,19 @@ class XfstestsRunner:
         cases = list(cases if cases is not None else GENERIC_TESTS)
         if group:
             cases = [c for c in cases if group in c.groups]
-        env = None
-        snapshot = None
-        if not self.fresh_env_per_test:
-            env = self.env_factory()
-            if self.snapshot_per_test:
-                snapshot = EnvironmentSnapshot(env)
-        summary = RunSummary(environment=env.name if env else "per-test")
+        env = self.env_factory()
+        snapshot = EnvironmentSnapshot(env)
+        summary = RunSummary(environment=env.name)
         for case in cases:
-            if self.fresh_env_per_test:
-                test_env = self.env_factory()
-            elif snapshot is not None:
-                test_env = snapshot.fork()
-            else:
-                test_env = env
-            assert test_env is not None
-            summary.results.append(self._run_one(case, test_env))
-        if env is not None:
-            summary.environment = env.name
+            summary.results.append(self._run_one(case, snapshot.fork()))
         return summary
 
     def _run_one(self, case: TestCase, env: TestEnvironment) -> TestResult:
-        workdir = f"{env.test_dir}/{case.test_id.replace('/', '-')}"
-        try:
-            env.sc.makedirs(workdir)
-        except FsError:
-            pass
-        sandboxed = TestEnvironment(name=env.name, machine=env.machine, sc=env.sc,
-                                    test_dir=workdir, scratch_dir=env.scratch_dir,
-                                    fs_under_test=env.fs_under_test,
-                                    is_cntrfs=env.is_cntrfs)
+        sandboxed = sandbox(env, case)
         try:
             case.func(sandboxed)
             return TestResult(case=case, status="pass")
-        except TestNotSupported as exc:
-            status = "fail" if self.notrun_counts_as_failure else "notrun"
-            return TestResult(case=case, status=status, message=str(exc))
-        except (TestFailure, FsError) as exc:
+        except (TestNotSupported, TestFailure, FsError) as exc:
             return TestResult(case=case, status="fail", message=str(exc))
         except Exception as exc:  # noqa: BLE001 - report unexpected errors as failures
             return TestResult(case=case, status="fail",

@@ -19,6 +19,9 @@ and perturb what is being compared.
 
 from __future__ import annotations
 
+import pickle
+
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fs.constants import OpenFlags
@@ -168,3 +171,8 @@ class TestSnapshotForkEquivalence:
         machine.syscalls.close(fd)
         _kernel, (clone,) = snap.fork()
         assert _observe(clone.kernel, clone.rootfs) == before
+
+    def test_unpicklable_companion_makes_snapshot_raise(self):
+        machine = boot_forked()
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            machine.kernel.snapshot(machine, lambda: None)

@@ -1,7 +1,7 @@
 """Each locks/crash/stress xfstests case, individually, on both environments.
 
-The aggregate suite runs inside ``tests/test_fuse_and_vfs.py`` and the CI
-``xfstests`` job; this module additionally surfaces the crash-consistency
+The aggregate suite runs inside ``benchmarks/test_bench_xfstests.py`` and
+the CI ``xfstests`` job; this module additionally surfaces the crash-consistency
 wave — the POSIX byte-range lock cases (generic/151-165), the power-fail +
 journal-replay cases (generic/166-185) and the seeded shadow-model stress
 soups (generic/186-203) — as one pytest test per (case, environment) pair,
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fs.errors import FsError
 from repro.xfstests import harness
 from repro.xfstests.generic import GENERIC_TESTS
 
@@ -34,22 +33,6 @@ def test_the_new_surface_is_at_least_fortyfive_cases():
     assert by_group["stress"] == 18
 
 
-@pytest.fixture(scope="module", params=["native", "cntrfs"])
-def xfs_env(request):
-    if request.param == "native":
-        return harness.native_environment()
-    return harness.cntrfs_environment()
-
-
 @pytest.mark.parametrize("case", NEW_CASES, ids=lambda case: case.test_id)
-def test_generic_case(xfs_env, case):
-    workdir = f"{xfs_env.test_dir}/{case.test_id.replace('/', '-')}-unit"
-    try:
-        xfs_env.sc.makedirs(workdir)
-    except FsError:
-        pass
-    sandboxed = harness.TestEnvironment(
-        name=xfs_env.name, machine=xfs_env.machine, sc=xfs_env.sc,
-        test_dir=workdir, scratch_dir=xfs_env.scratch_dir,
-        fs_under_test=xfs_env.fs_under_test, is_cntrfs=xfs_env.is_cntrfs)
-    case.func(sandboxed)
+def test_generic_case(xfs_snapshot, case):
+    case.func(harness.sandbox(xfs_snapshot.fork(), case))
