@@ -27,8 +27,6 @@ from repro.fs.errors import FsError
 from repro.fs.filesystem import Filesystem
 
 _mount_id_counter = itertools.count(1)
-_peer_group_counter = itertools.count(1)
-_mount_ns_counter = itertools.count(1)
 
 
 class MountPropagation(enum.Enum):
@@ -50,7 +48,7 @@ class Mount:
     mountpoint_path: str = "/"
     read_only: bool = False
     propagation: MountPropagation = MountPropagation.PRIVATE
-    peer_group: int | None = None
+    peer_group: "PeerGroup | None" = None
     mount_id: int = field(default_factory=lambda: next(_mount_id_counter))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -58,11 +56,43 @@ class Mount:
                 f"at={self.mountpoint_path!r}, prop={self.propagation.value})")
 
 
+@dataclass(eq=False)
+class PeerGroup:
+    """Shared mounts that replicate mount events to one another.
+
+    The members may live in different namespaces, so each is kept with its
+    namespace, in the order it joined; that order is the propagation order.
+    Only the members' ``Mount.peer_group`` reaches a group, so it is pickled
+    with the kernel that owns them (a snapshot fork gets its own copy) and
+    freed with it.
+    """
+
+    members: list[tuple["MountNamespace", Mount]] = field(default_factory=list)
+
+    def add(self, ns: "MountNamespace", mount: Mount) -> None:
+        if all(member is not mount for _, member in self.members):
+            self.members.append((ns, mount))
+
+    def discard(self, mount: Mount) -> None:
+        self.members = [(ns, m) for ns, m in self.members if m is not mount]
+
+    def propagate(self, parent: Mount, new_mount: Mount) -> None:
+        """Replicate ``new_mount``, made below ``parent``, below every other member."""
+        for ns, peer in self.members:
+            if peer is parent:
+                continue
+            ns._attach(Mount(fs=new_mount.fs, root_ino=new_mount.root_ino,
+                             parent=peer, mountpoint_ino=new_mount.mountpoint_ino,
+                             mountpoint_path=new_mount.mountpoint_path,
+                             read_only=new_mount.read_only,
+                             propagation=MountPropagation.SHARED,
+                             peer_group=new_mount.peer_group))
+
+
 class MountNamespace:
     """A tree of mounts as seen by a set of processes."""
 
     def __init__(self, root_fs: Filesystem | None = None) -> None:
-        self.ns_id = next(_mount_ns_counter)
         self.mounts: list[Mount] = []
         # (parent_mount_id, ino) -> stack of mounts, topmost last
         self._mounts_at: dict[tuple[int, int], list[Mount]] = {}
@@ -132,7 +162,7 @@ class MountNamespace:
                           peer_group=parent_mount.peer_group)
         self._attach(new_mount)
         if propagate and parent_mount.propagation == MountPropagation.SHARED:
-            _propagate_mount(self, parent_mount, new_mount)
+            parent_mount.peer_group.propagate(parent_mount, new_mount)
         return new_mount
 
     def bind_mount(self, source: tuple[Mount, int], at: tuple[Mount, int],
@@ -205,7 +235,7 @@ class MountNamespace:
         targets = [mount] + (self.mounts_under(mount) if recursive else [])
         for m in targets:
             if m.peer_group is not None:
-                _peer_groups.get(m.peer_group, set()).discard((self.ns_id, m.mount_id))
+                m.peer_group.discard(m)
             m.propagation = MountPropagation.PRIVATE
             m.peer_group = None
 
@@ -214,11 +244,9 @@ class MountNamespace:
         targets = [mount] + (self.mounts_under(mount) if recursive else [])
         for m in targets:
             if m.peer_group is None:
-                m.peer_group = next(_peer_group_counter)
-                _peer_groups[m.peer_group] = set()
+                m.peer_group = PeerGroup()
             m.propagation = MountPropagation.SHARED
-            _peer_groups[m.peer_group].add((self.ns_id, m.mount_id))
-            _namespace_registry[self.ns_id] = self
+            m.peer_group.add(self, m)
 
     def make_all_private(self) -> None:
         """Mark every mount in the namespace private (what Cntr does on attach)."""
@@ -250,10 +278,8 @@ class MountNamespace:
             if copy.parent is not None and copy.mountpoint_ino is not None:
                 key = (copy.parent.mount_id, copy.mountpoint_ino)
                 new_ns._mounts_at.setdefault(key, []).append(copy)
-            if copy.propagation == MountPropagation.SHARED and copy.peer_group is not None:
-                _peer_groups.setdefault(copy.peer_group, set()).add(
-                    (new_ns.ns_id, copy.mount_id))
-        _namespace_registry[new_ns.ns_id] = new_ns
+            if copy.propagation == MountPropagation.SHARED:
+                copy.peer_group.add(new_ns, copy)
         return new_ns
 
     # ------------------------------------------------------------- internals
@@ -275,47 +301,7 @@ class MountNamespace:
         if not keep and mount in self.mounts:
             self.mounts.remove(mount)
         if mount.peer_group is not None:
-            _peer_groups.get(mount.peer_group, set()).discard(
-                (self.ns_id, mount.mount_id))
-
-    def find_mount(self, mount_id: int) -> Mount | None:
-        """Find a mount in this namespace by id."""
-        for m in self.mounts:
-            if m.mount_id == mount_id:
-                return m
-        return None
-
-
-# --------------------------------------------------------------------------
-# Shared-propagation plumbing.  Peer groups are global (they span namespaces),
-# keyed by peer-group id, holding (namespace_id, mount_id) members.
-# --------------------------------------------------------------------------
-_peer_groups: dict[int, set[tuple[int, int]]] = {}
-_namespace_registry: dict[int, MountNamespace] = {}
-
-
-def _propagate_mount(origin_ns: MountNamespace, parent: Mount, new_mount: Mount) -> None:
-    """Replicate a mount event to every peer of ``parent`` in other namespaces."""
-    if parent.peer_group is None:
-        return
-    # Sorted copy: the peer set's iteration order is hash/insertion noise,
-    # and the propagation sequence must be deterministic for replay.
-    for ns_id, mount_id in sorted(_peer_groups.get(parent.peer_group, set())):
-        if ns_id == origin_ns.ns_id and mount_id == parent.mount_id:
-            continue
-        peer_ns = _namespace_registry.get(ns_id)
-        if peer_ns is None:
-            continue
-        peer_parent = peer_ns.find_mount(mount_id)
-        if peer_parent is None:
-            continue
-        replica = Mount(fs=new_mount.fs, root_ino=new_mount.root_ino,
-                        parent=peer_parent, mountpoint_ino=new_mount.mountpoint_ino,
-                        mountpoint_path=new_mount.mountpoint_path,
-                        read_only=new_mount.read_only,
-                        propagation=MountPropagation.SHARED,
-                        peer_group=new_mount.peer_group)
-        peer_ns._attach(replica)
+            mount.peer_group.discard(mount)
 
 
 def _topo_order(mounts: list[Mount], root: Mount | None) -> list[Mount]:

@@ -1,42 +1,41 @@
-"""Synthetic sysfs surfaces: ``/sys/class/bdi`` and ``/sys/fs/cgroup``.
+"""The synthetic ``/sys`` surfaces: ``/sys/class/bdi``, ``/sys/fs/cgroup``
+and ``/sys/kernel/debug/tracing``.
 
-Linux exposes every backing device's writeback state under
-``/sys/class/bdi/<dev>/``; the knob that matters for the reproduction is
-``read_ahead_kb``, the per-device readahead window that replaced the global
-``max_readahead`` constant on the ext4/FUSE read paths.  Devices appear here
-when their filesystem is mounted (``Syscalls.mount`` registers the
-filesystem — and thereby its engine's BDI — with :class:`VmSysctl`) and
-disappear at the last umount, exactly like ``/proc`` entries follow
-processes.
+Each is a :class:`repro.kernel.synthfs.SyntheticFS`: its tree is generated
+from one live kernel object, reads render the current state, and writes to
+its writable files retune that object (invalid values are ``EINVAL``, the
+sysctl convention).  The namespace belongs to the kernel, so creating,
+linking, renaming and removing entries is refused — except that cgroupfs
+creates and removes cgroups with ``mkdir``/``rmdir``.
 
-Reads render the live knob value; writes retune the live
-:class:`repro.fs.writeback.BacklogDeviceInfo` object, so the next cache-miss
-fetch on that device uses the new window.  Invalid values are ``EINVAL``,
-matching the sysctl convention.
-
-:class:`CgroupFS` is the same idea for the cgroup v2 hierarchy: a *writable*
-synthetic filesystem mounted at ``/sys/fs/cgroup`` whose directories mirror
-the live :class:`repro.kernel.cgroups.CgroupHierarchy` (``mkdir`` creates a
-cgroup, ``rmdir`` removes an empty one) and whose files are the memory
-controller's interface — ``memory.max`` / ``memory.high`` (writable;
-``max``/``0`` mean unlimited, anything non-integer or negative is
-``EINVAL``, and lowering ``memory.max`` below the current usage triggers
-synchronous reclaim, per Linux semantics), the read-only ``memory.current``
-/ ``memory.peak`` / ``memory.stat``, and ``cgroup.procs`` (read the member
-pids, write a pid to move a process, the operation Cntr performs on its
-injected tools).
+* :class:`BdiSysFS` shows every backing device's writeback state under
+  ``/sys/class/bdi/<dev>/``.  The knob that matters for the reproduction is
+  ``read_ahead_kb``, the per-device readahead window used on the ext4/FUSE
+  read paths; a write retunes the live
+  :class:`repro.fs.writeback.BacklogDeviceInfo`, so the next cache-miss
+  fetch on that device uses the new window.  Devices appear when their
+  filesystem is mounted (``Syscalls.mount`` registers it, and thereby its
+  engine's BDI, with :class:`VmSysctl`) and disappear at the last umount,
+  as ``/proc`` entries follow processes.
+* :class:`CgroupFS` mirrors the live cgroup v2 hierarchy
+  (:class:`repro.kernel.cgroups.CgroupHierarchy`).  Its files are the
+  controllers' interface: ``memory.max`` / ``memory.high`` (``max``/``0``
+  mean unlimited, anything non-integer or negative is ``EINVAL``, and
+  lowering ``memory.max`` below the current usage reclaims synchronously,
+  per Linux), ``cpu.max`` / ``cpu.weight``, the read-only counters and
+  pressure files, and ``cgroup.procs`` (read the member pids, write a pid to
+  move a process — the operation Cntr performs on its injected tools).
+* :class:`TracingFS` is a small ftrace-shaped control surface over the
+  kernel's :class:`repro.sim.trace.Tracer`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.fs.constants import FileMode
 from repro.fs.errors import FsError
-from repro.fs.filesystem import Filesystem
-from repro.fs.inode import DirectoryInode, Inode, RegularInode
 from repro.kernel.cgroups import cpu_shares_from_weight
+from repro.kernel.synthfs import S_IFDIR, S_IFREG, Entry, SyntheticFS
 from repro.sim.sched import CPU_WEIGHT_MAX, CPU_WEIGHT_MIN
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,145 +45,57 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Files generated inside every ``/sys/class/bdi/<dev>`` directory.
 BDI_FILES = ("read_ahead_kb",)
+#: The modes of a writable and of a read-only file.
+_RW = S_IFREG | 0o644
+_RO = S_IFREG | 0o444
 
 
-@dataclass(frozen=True)
-class BdiEntry:
-    """What a synthetic bdi-sysfs inode refers to."""
+class BdiSysFS(SyntheticFS):
+    """The ``/sys/class/bdi`` directory, bound to the kernel's BDI registry.
 
-    kind: str          # "root" | "bdidir" | "knob"
-    device: str        # bdi name ("" for the root)
-    name: str
-
-
-class BdiSysFS(Filesystem):
-    """The ``/sys/class/bdi`` directory, bound to the kernel's BDI registry."""
+    An entry's owner is its device name (None for the root).
+    """
 
     fs_type = "sysfs"
-    supports_direct_io = False
-    supports_export_handles = False
-    #: Device directories appear and disappear with mounts, without any
-    #: name-mutating filesystem call the dentry generation could track.
-    dcacheable = False
+    modes = {"root": S_IFDIR | 0o755, "bdidir": S_IFDIR | 0o555, "knob": _RW}
+    tree = {"bdidir": dict.fromkeys(BDI_FILES, "knob")}
 
     def __init__(self, name: str, kernel: "Kernel") -> None:
-        super().__init__(name, kernel.clock, kernel.costs, kernel.tracer,
-                         capacity_bytes=0)
-        self.kernel = kernel
-        self._entries: dict[int, BdiEntry] = {
-            self.root_ino: BdiEntry("root", "", "/")}
-        self._path_to_ino: dict[tuple[str, str, str], int] = {}
+        super().__init__(name, kernel, Entry("root", None, "/"))
 
-    # ------------------------------------------------------------- plumbing
     def _bdi(self, device: str) -> "BacklogDeviceInfo":
         bdi = self.kernel.vm.bdis().get(device)
         if bdi is None:
             raise FsError.enoent(f"/sys/class/bdi/{device}")
         return bdi
 
-    def _synthetic_inode(self, entry: BdiEntry) -> Inode:
-        key = (entry.kind, entry.device, entry.name)
-        ino = self._path_to_ino.get(key)
-        if ino is not None and ino in self._inodes:
-            return self._inodes[ino]
-        if entry.kind == "bdidir":
-            inode = DirectoryInode(ino=self._alloc_ino(),
-                                   mode=FileMode.S_IFDIR | 0o555)
-        else:
-            inode = RegularInode(ino=self._alloc_ino(),
-                                 mode=FileMode.S_IFREG | 0o644)
-        inode.fs_name = self.name
-        self._inodes[inode.ino] = inode
-        self._entries[inode.ino] = entry
-        self._path_to_ino[key] = inode.ino
-        return inode
+    def _dynamic_child(self, parent: Entry, name: str) -> Entry | None:
+        if parent.kind == "root" and name in self.kernel.vm.bdis():
+            return Entry("bdidir", name, name)
+        return None
 
-    def entry_of(self, ino: int) -> BdiEntry:
-        """The synthetic entry behind an inode number."""
-        entry = self._entries.get(ino)
-        if entry is None:
-            raise FsError.estale(f"bdi sysfs ino {ino}")
-        return entry
+    def _dynamic_children(self, parent: Entry) -> list[Entry]:
+        if parent.kind != "root":
+            return []
+        return [Entry("bdidir", device, device) for device in self.kernel.vm.bdis()]
 
-    def _generate(self, entry: BdiEntry) -> bytes:
-        bdi = self._bdi(entry.device)
-        if entry.name == "read_ahead_kb":
-            # The effective window (knob, or the filesystem's default),
-            # rendered in KiB as Linux does.
-            return f"{bdi.read_ahead_bytes >> 10}\n".encode()
-        raise FsError.enoent(entry.name)
+    def _revalidate(self, entry: Entry) -> None:
+        if entry.owner is not None:
+            self._bdi(entry.owner)           # ENOENT once the mount is gone
 
-    # ------------------------------------------------------------- fs interface
-    def lookup(self, dir_ino: int, name: str) -> Inode:
-        self._charge_metadata("lookup")
-        entry = self.entry_of(dir_ino)
-        if entry.kind == "root":
-            if name in self.kernel.vm.bdis():
-                return self._synthetic_inode(BdiEntry("bdidir", name, name))
-            raise FsError.enoent(name)
-        if entry.kind == "bdidir":
-            if name in BDI_FILES:
-                self._bdi(entry.device)          # ESTALE once the mount is gone
-                return self._synthetic_inode(BdiEntry("knob", entry.device, name))
-            raise FsError.enoent(name)
-        raise FsError.enotdir(name)
+    def _generate(self, entry: Entry) -> bytes:
+        # The effective window (knob, or the filesystem's default), rendered
+        # in KiB as Linux does.
+        return f"{self._bdi(entry.owner).read_ahead_bytes >> 10}\n".encode()
 
-    def readdir(self, dir_ino: int) -> list[tuple[str, int, int]]:
-        self._charge_metadata("readdir")
-        entry = self.entry_of(dir_ino)
-        out = [(".", dir_ino, int(FileMode.S_IFDIR)),
-               ("..", dir_ino, int(FileMode.S_IFDIR))]
-        if entry.kind == "root":
-            for device in self.kernel.vm.bdis():
-                inode = self._synthetic_inode(BdiEntry("bdidir", device, device))
-                out.append((device, inode.ino, int(FileMode.S_IFDIR)))
-        elif entry.kind == "bdidir":
-            for name in BDI_FILES:
-                inode = self._synthetic_inode(BdiEntry("knob", entry.device, name))
-                out.append((name, inode.ino, int(FileMode.S_IFREG)))
-        return out
-
-    def read(self, ino: int, offset: int, size: int) -> bytes:
-        entry = self.entry_of(ino)
-        if entry.kind != "knob":
-            raise FsError.eisdir(entry.name)
-        content = self._generate(entry)
-        self._charge_read(ino, offset, min(size, len(content)))
-        return content[offset:offset + size]
-
-    def getattr(self, ino: int):
-        self._charge_metadata("getattr")
-        inode = self.iget(ino)
-        entry = self._entries.get(ino)
-        if entry is not None and entry.kind == "knob" \
-                and isinstance(inode, RegularInode):
-            content = self._generate(entry)
-            inode.data.truncate(0)
-            inode.data.write(0, content)
-        return inode.stat(st_dev=self.fs_id)
-
-    def write(self, ino: int, offset: int, data: bytes) -> int:
-        entry = self._entries.get(ino)
-        if entry is None or entry.kind != "knob":
-            raise FsError.eacces("bdi sysfs directories are read-only")
-        text = data.decode("ascii", errors="replace").strip()
+    def _store(self, entry: Entry, text: str) -> None:
         try:
             value = int(text.split()[0]) if text else 0
         except ValueError:
             raise FsError.einval(f"bdi.{entry.name}: {text!r}") from None
         if value < 0:
             raise FsError.einval(f"bdi.{entry.name} = {value}")
-        self._charge_metadata("sysctl")
-        bdi = self._bdi(entry.device)
-        if entry.name == "read_ahead_kb":
-            bdi.read_ahead_kb = value
-        return len(data)
-
-    def truncate(self, ino: int, size: int) -> None:
-        # O_TRUNC on a knob file (shell `echo N >` idiom) is a no-op.
-        entry = self._entries.get(ino)
-        if entry is None or entry.kind != "knob":
-            raise FsError.eacces("bdi sysfs directories are read-only")
+        self._bdi(entry.owner).read_ahead_kb = value
 
 
 # ---------------------------------------------------------------------------
@@ -204,157 +115,65 @@ CPU_PERIOD_MIN_US = 1_000
 CPU_PERIOD_MAX_US = 1_000_000
 
 
-@dataclass(frozen=True)
-class CgroupEntry:
-    """What a synthetic cgroupfs inode refers to."""
+class CgroupFS(SyntheticFS):
+    """The ``/sys/fs/cgroup`` mount, bound to the kernel's cgroup hierarchy.
 
-    kind: str          # "dir" | "knob"
-    cg_path: str       # cgroup path within the hierarchy ("/" for the root)
-    name: str
-
-
-class CgroupFS(Filesystem):
-    """The ``/sys/fs/cgroup`` mount, bound to the kernel's cgroup hierarchy."""
+    An entry's owner is the path of its cgroup within the hierarchy ("/" for
+    the root).  Directories also appear with ``CgroupHierarchy.create`` calls
+    made by container engines, not only through this filesystem's mkdir.
+    """
 
     fs_type = "cgroup2"
-    supports_direct_io = False
-    supports_export_handles = False
-    #: Directories appear with ``CgroupHierarchy.create`` calls made by
-    #: container engines, not only through this filesystem's own mkdir, so
-    #: the dentry generation cannot track the namespace.
-    dcacheable = False
+    modes = {"dir": S_IFDIR | 0o755, "rw": _RW, "ro": _RO}
+    tree = {"dir": {name: "rw" if name in CGROUP_WRITABLE else "ro"
+                    for name in CGROUP_FILES}}
 
     def __init__(self, name: str, kernel: "Kernel") -> None:
-        super().__init__(name, kernel.clock, kernel.costs, kernel.tracer,
-                         capacity_bytes=0)
-        self.kernel = kernel
-        self._entries: dict[int, CgroupEntry] = {
-            self.root_ino: CgroupEntry("dir", "/", "/")}
-        self._path_to_ino: dict[tuple[str, str, str], int] = {}
+        super().__init__(name, kernel, Entry("dir", "/", "/"))
 
-    # ------------------------------------------------------------- plumbing
     def _cgroup(self, path: str) -> "Cgroup":
         return self.kernel.cgroups.lookup(path)
-
-    def _synthetic_inode(self, entry: CgroupEntry) -> Inode:
-        key = (entry.kind, entry.cg_path, entry.name)
-        ino = self._path_to_ino.get(key)
-        if ino is not None and ino in self._inodes:
-            return self._inodes[ino]
-        if entry.kind == "dir":
-            inode = DirectoryInode(ino=self._alloc_ino(),
-                                   mode=FileMode.S_IFDIR | 0o755)
-        else:
-            mode = 0o644 if entry.name in CGROUP_WRITABLE else 0o444
-            inode = RegularInode(ino=self._alloc_ino(),
-                                 mode=FileMode.S_IFREG | mode)
-        inode.fs_name = self.name
-        self._inodes[inode.ino] = inode
-        self._entries[inode.ino] = entry
-        self._path_to_ino[key] = inode.ino
-        return inode
-
-    def entry_of(self, ino: int) -> CgroupEntry:
-        """The synthetic entry behind an inode number."""
-        entry = self._entries.get(ino)
-        if entry is None:
-            raise FsError.estale(f"cgroupfs ino {ino}")
-        return entry
 
     @staticmethod
     def _child_path(parent_path: str, name: str) -> str:
         return f"{parent_path.rstrip('/')}/{name}"
 
-    def _forget_path(self, path: str) -> None:
-        """Drop the synthetic inodes of a removed cgroup directory."""
-        for key in [k for k in self._path_to_ino if k[1] == path]:
-            ino = self._path_to_ino.pop(key)
-            self._inodes.pop(ino, None)
-            self._entries.pop(ino, None)
+    def _dynamic_child(self, parent: Entry, name: str) -> Entry | None:
+        if name in self._cgroup(parent.owner).children:
+            return Entry("dir", self._child_path(parent.owner, name), name)
+        return None
 
-    # ------------------------------------------------------------- fs interface
-    def lookup(self, dir_ino: int, name: str) -> Inode:
-        self._charge_metadata("lookup")
-        entry = self.entry_of(dir_ino)
-        if entry.kind != "dir":
-            raise FsError.enotdir(name)
-        cgroup = self._cgroup(entry.cg_path)
-        if name in CGROUP_FILES:
-            return self._synthetic_inode(CgroupEntry("knob", entry.cg_path, name))
-        if name in cgroup.children:
-            child_path = self._child_path(entry.cg_path, name)
-            return self._synthetic_inode(CgroupEntry("dir", child_path, name))
-        raise FsError.enoent(name)
+    def _dynamic_children(self, parent: Entry) -> list[Entry]:
+        return [Entry("dir", self._child_path(parent.owner, name), name)
+                for name in self._cgroup(parent.owner).children]
 
-    def readdir(self, dir_ino: int) -> list[tuple[str, int, int]]:
-        self._charge_metadata("readdir")
-        entry = self.entry_of(dir_ino)
-        if entry.kind != "dir":
-            raise FsError.enotdir(entry.name)
-        cgroup = self._cgroup(entry.cg_path)
-        out = [(".", dir_ino, int(FileMode.S_IFDIR)),
-               ("..", dir_ino, int(FileMode.S_IFDIR))]
-        for name in CGROUP_FILES:
-            inode = self._synthetic_inode(CgroupEntry("knob", entry.cg_path, name))
-            out.append((name, inode.ino, int(FileMode.S_IFREG)))
-        for name in cgroup.children:
-            child_path = self._child_path(entry.cg_path, name)
-            inode = self._synthetic_inode(CgroupEntry("dir", child_path, name))
-            out.append((name, inode.ino, int(FileMode.S_IFDIR)))
-        return out
+    def _revalidate(self, entry: Entry) -> None:
+        self._cgroup(entry.owner)             # ENOENT once the cgroup is gone
 
     def mkdir(self, dir_ino: int, name: str, mode: int, uid: int = 0,
-              gid: int = 0) -> DirectoryInode:
+              gid: int = 0):
         self._charge_metadata("mkdir")
-        entry = self.entry_of(dir_ino)
-        if entry.kind != "dir":
-            raise FsError.enotdir(name)
-        parent = self._cgroup(entry.cg_path)
+        parent = self._directory(dir_ino)
         if "/" in name or not name or name in CGROUP_FILES:
             raise FsError.einval(name)
-        if name in parent.children:
+        if name in self._cgroup(parent.owner).children:
             raise FsError.eexist(name)
-        child_path = self._child_path(entry.cg_path, name)
+        child_path = self._child_path(parent.owner, name)
         self.kernel.cgroups.create(child_path)
-        inode = self._synthetic_inode(CgroupEntry("dir", child_path, name))
-        assert isinstance(inode, DirectoryInode)
-        return inode
+        return self._synthetic_inode(Entry("dir", child_path, name))
 
     def rmdir(self, dir_ino: int, name: str) -> None:
         self._charge_metadata("rmdir")
-        entry = self.entry_of(dir_ino)
-        if entry.kind != "dir":
-            raise FsError.enotdir(name)
-        parent = self._cgroup(entry.cg_path)
-        if name not in parent.children:
+        parent = self._directory(dir_ino)
+        if name not in self._cgroup(parent.owner).children:
             raise FsError.enoent(name)
-        child_path = self._child_path(entry.cg_path, name)
+        child_path = self._child_path(parent.owner, name)
         # EBUSY while member processes or children remain, as in Linux.
         self.kernel.cgroups.remove(child_path)
-        self._forget_path(child_path)
+        self._forget(child_path)
 
-    # The rest of the namespace is immutable: cgroupfs only ever contains
-    # cgroup directories and controller files.
-    def create(self, dir_ino: int, name: str, mode: int, uid: int = 0, gid: int = 0):
-        raise FsError.eacces("cgroupfs does not support regular files")
-
-    def unlink(self, dir_ino: int, name: str) -> None:
-        raise FsError.eacces("cgroupfs files cannot be unlinked")
-
-    def rename(self, old_dir: int, old_name: str, new_dir: int, new_name: str,
-               flags: int = 0) -> None:
-        raise FsError.eacces("cgroupfs entries cannot be renamed")
-
-    def symlink(self, dir_ino: int, name: str, target: str, uid: int = 0, gid: int = 0):
-        raise FsError.eacces("cgroupfs does not support symlinks")
-
-    def mknod(self, dir_ino: int, name: str, mode: int, rdev: int = 0,
-              uid: int = 0, gid: int = 0):
-        raise FsError.eacces("cgroupfs does not support device nodes")
-
-    # ------------------------------------------------------------- content
-    def _generate(self, entry: CgroupEntry) -> bytes:
-        cgroup = self._cgroup(entry.cg_path)
+    def _generate(self, entry: Entry) -> bytes:
+        cgroup = self._cgroup(entry.owner)
         if entry.name == "memory.current":
             return f"{cgroup.mem_cache_bytes}\n".encode()
         if entry.name == "memory.peak":
@@ -390,35 +209,8 @@ class CgroupFS(Filesystem):
             return "".join(rows).encode()
         raise FsError.enoent(entry.name)
 
-    def read(self, ino: int, offset: int, size: int) -> bytes:
-        entry = self.entry_of(ino)
-        if entry.kind != "knob":
-            raise FsError.eisdir(entry.name)
-        content = self._generate(entry)
-        self._charge_read(ino, offset, min(size, len(content)))
-        return content[offset:offset + size]
-
-    def getattr(self, ino: int):
-        self._charge_metadata("getattr")
-        inode = self.iget(ino)
-        entry = self._entries.get(ino)
-        if entry is not None:
-            self._cgroup(entry.cg_path)      # ENOENT once the cgroup is gone
-            if entry.kind == "knob" and isinstance(inode, RegularInode):
-                content = self._generate(entry)
-                inode.data.truncate(0)
-                inode.data.write(0, content)
-        return inode.stat(st_dev=self.fs_id)
-
-    def write(self, ino: int, offset: int, data: bytes) -> int:
-        entry = self._entries.get(ino)
-        if entry is None or entry.kind != "knob":
-            raise FsError.eacces("cgroupfs directories are read-only")
-        if entry.name not in CGROUP_WRITABLE:
-            raise FsError.eacces(f"{entry.name} is read-only")
-        cgroup = self._cgroup(entry.cg_path)
-        text = data.decode("ascii", errors="replace").strip()
-        self._charge_metadata("sysctl")
+    def _store(self, entry: Entry, text: str) -> None:
+        cgroup = self._cgroup(entry.owner)
         if entry.name == "cgroup.procs":
             try:
                 pid = int(text)
@@ -426,8 +218,8 @@ class CgroupFS(Filesystem):
                 raise FsError.einval(f"cgroup.procs: {text!r}") from None
             if pid not in self.kernel.processes:
                 raise FsError.esrch(f"pid {pid}")
-            self.kernel.cgroups.attach(pid, entry.cg_path)
-            return len(data)
+            self.kernel.cgroups.attach(pid, entry.owner)
+            return
         if entry.name == "cpu.weight":
             try:
                 weight = int(text)
@@ -436,7 +228,7 @@ class CgroupFS(Filesystem):
             if not CPU_WEIGHT_MIN <= weight <= CPU_WEIGHT_MAX:
                 raise FsError.einval(f"cpu.weight = {weight}")
             cgroup.limits.cpu_shares = cpu_shares_from_weight(weight)
-            return len(data)
+            return
         if entry.name == "cpu.max":
             # "$MAX $PERIOD": quota "max" or usec >= 1000; the period is
             # optional (keeping the current one) and bounded like CFS.
@@ -462,7 +254,7 @@ class CgroupFS(Filesystem):
                     raise FsError.einval(f"cpu.max period = {period}")
             cgroup.limits.cpu_quota_us = quota
             cgroup.limits.cpu_period_us = period
-            return len(data)
+            return
         # memory.max / memory.high: "max" (or 0) means unlimited, as on Linux.
         if text == "max":
             value = None
@@ -483,13 +275,6 @@ class CgroupFS(Filesystem):
                 self.kernel.memcg.enforce(cgroup)
         else:
             cgroup.limits.memory_high_bytes = value
-        return len(data)
-
-    def truncate(self, ino: int, size: int) -> None:
-        # O_TRUNC on a knob file (shell `echo N >` idiom) is a no-op.
-        entry = self._entries.get(ino)
-        if entry is None or entry.kind != "knob":
-            raise FsError.eacces("cgroupfs directories are read-only")
 
 
 # ---------------------------------------------------------------------------
@@ -501,18 +286,8 @@ TRACING_FILES = ("available_events", "set_event", "trace", "tracing_on")
 TRACING_WRITABLE = ("set_event", "trace", "tracing_on")
 
 
-@dataclass(frozen=True)
-class TracingEntry:
-    """What a synthetic tracefs inode refers to."""
-
-    kind: str          # "root" | "file"
-    name: str
-
-
-class TracingFS(Filesystem):
+class TracingFS(SyntheticFS):
     """The ``/sys/kernel/debug/tracing`` mount, bound to the kernel tracer.
-
-    A small ftrace-shaped control surface over :class:`repro.sim.trace.Tracer`:
 
     * ``available_events`` — every declared or observed tracepoint, sorted;
     * ``set_event`` — read the per-tracepoint filter; write ``name`` to
@@ -523,40 +298,14 @@ class TracingFS(Filesystem):
     """
 
     fs_type = "tracefs"
-    supports_direct_io = False
-    supports_export_handles = False
-    dcacheable = False
+    modes = {"root": S_IFDIR | 0o755, "rw": _RW, "ro": _RO}
+    tree = {"root": {name: "rw" if name in TRACING_WRITABLE else "ro"
+                     for name in TRACING_FILES}}
 
     def __init__(self, name: str, kernel: "Kernel") -> None:
-        super().__init__(name, kernel.clock, kernel.costs, kernel.tracer,
-                         capacity_bytes=0)
-        self.kernel = kernel
-        self._entries: dict[int, TracingEntry] = {
-            self.root_ino: TracingEntry("root", "/")}
-        self._path_to_ino: dict[str, int] = {}
+        super().__init__(name, kernel, Entry("root", None, "/"))
 
-    # ------------------------------------------------------------- plumbing
-    def _synthetic_inode(self, entry: TracingEntry) -> Inode:
-        ino = self._path_to_ino.get(entry.name)
-        if ino is not None and ino in self._inodes:
-            return self._inodes[ino]
-        mode = 0o644 if entry.name in TRACING_WRITABLE else 0o444
-        inode = RegularInode(ino=self._alloc_ino(),
-                             mode=FileMode.S_IFREG | mode)
-        inode.fs_name = self.name
-        self._inodes[inode.ino] = inode
-        self._entries[inode.ino] = entry
-        self._path_to_ino[entry.name] = inode.ino
-        return inode
-
-    def entry_of(self, ino: int) -> TracingEntry:
-        """The synthetic entry behind an inode number."""
-        entry = self._entries.get(ino)
-        if entry is None:
-            raise FsError.estale(f"tracefs ino {ino}")
-        return entry
-
-    def _generate(self, entry: TracingEntry) -> bytes:
+    def _generate(self, entry: Entry) -> bytes:
         tracer = self.kernel.tracer
         if entry.name == "available_events":
             return "".join(f"{name}\n"
@@ -580,70 +329,22 @@ class TracingFS(Filesystem):
             return "".join(lines).encode()
         raise FsError.enoent(entry.name)
 
-    # ------------------------------------------------------------- fs interface
-    def lookup(self, dir_ino: int, name: str) -> Inode:
-        self._charge_metadata("lookup")
-        entry = self.entry_of(dir_ino)
-        if entry.kind != "root":
-            raise FsError.enotdir(name)
-        if name in TRACING_FILES:
-            return self._synthetic_inode(TracingEntry("file", name))
-        raise FsError.enoent(name)
-
-    def readdir(self, dir_ino: int) -> list[tuple[str, int, int]]:
-        self._charge_metadata("readdir")
-        entry = self.entry_of(dir_ino)
-        if entry.kind != "root":
-            raise FsError.enotdir(entry.name)
-        out = [(".", dir_ino, int(FileMode.S_IFDIR)),
-               ("..", dir_ino, int(FileMode.S_IFDIR))]
-        for name in TRACING_FILES:
-            inode = self._synthetic_inode(TracingEntry("file", name))
-            out.append((name, inode.ino, int(FileMode.S_IFREG)))
-        return out
-
-    def read(self, ino: int, offset: int, size: int) -> bytes:
-        entry = self.entry_of(ino)
-        if entry.kind != "file":
-            raise FsError.eisdir(entry.name)
-        content = self._generate(entry)
-        self._charge_read(ino, offset, min(size, len(content)))
-        return content[offset:offset + size]
-
-    def getattr(self, ino: int):
-        self._charge_metadata("getattr")
-        inode = self.iget(ino)
-        entry = self._entries.get(ino)
-        if entry is not None and entry.kind == "file" \
-                and isinstance(inode, RegularInode):
-            content = self._generate(entry)
-            inode.data.truncate(0)
-            inode.data.write(0, content)
-        return inode.stat(st_dev=self.fs_id)
-
-    def write(self, ino: int, offset: int, data: bytes) -> int:
-        entry = self._entries.get(ino)
-        if entry is None or entry.kind != "file":
-            raise FsError.eacces("tracefs is a flat directory")
-        if entry.name not in TRACING_WRITABLE:
-            raise FsError.eacces(f"{entry.name} is read-only")
+    def _store(self, entry: Entry, text: str) -> None:
         tracer = self.kernel.tracer
-        text = data.decode("ascii", errors="replace").strip()
-        self._charge_metadata("sysctl")
         if entry.name == "tracing_on":
             if text not in ("0", "1"):
                 raise FsError.einval(f"tracing_on: {text!r}")
             tracer.enabled = text == "1"
-            return len(data)
+            return
         if entry.name == "trace":
             # Any write clears the ring, matching `echo > trace`.
             tracer.clear()
-            return len(data)
+            return
         # set_event: one directive per whitespace-separated token.
         tokens = text.split()
         if not tokens:
             tracer.clear_events()
-            return len(data)
+            return
         for token in tokens:
             enable = not token.startswith("!")
             name = token.lstrip("!")
@@ -651,14 +352,8 @@ class TracingFS(Filesystem):
                 tracer.set_event(name, enable=enable)
             except ValueError as exc:
                 raise FsError.einval(str(exc)) from None
-        return len(data)
 
-    def truncate(self, ino: int, size: int) -> None:
-        # O_TRUNC from the `echo > trace` idiom: clear the ring.
-        entry = self._entries.get(ino)
-        if entry is None or entry.kind != "file":
-            raise FsError.eacces("tracefs is a flat directory")
-        if entry.name not in TRACING_WRITABLE:
-            raise FsError.eacces(f"{entry.name} is read-only")
+    def _truncated(self, entry: Entry) -> None:
+        # O_TRUNC from the `echo > trace` idiom clears the ring, as on Linux.
         if entry.name == "trace":
             self.kernel.tracer.clear()

@@ -1,6 +1,7 @@
 """Tests for the kernel layer: processes, namespaces, cgroups, IPC, /proc."""
 
 import errno
+import stat
 
 import pytest
 
@@ -270,6 +271,84 @@ class TestProcSysVm:
         with pytest.raises(FsError):
             fd = sc.open("/proc/version", OpenFlags.O_WRONLY)
             sc.write(fd, b"nope")
+
+
+#: The four synthetic mounts of a booted host, each with one entry it lists.
+SYNTHETIC_MOUNTS = {"proc": ("/proc", "uptime"),
+                    "bdi": ("/sys/class/bdi", None),    # a device, found live
+                    "cgroup2": ("/sys/fs/cgroup", "cgroup.procs"),
+                    "tracefs": ("/sys/kernel/debug/tracing", "trace")}
+#: The namespace changes, each a call on (syscalls, victim path, new path).
+NAMESPACE_CHANGES = {
+    "create": lambda sc, old, new: sc.open(new, OpenFlags.O_CREAT | OpenFlags.O_WRONLY),
+    "mkdir": lambda sc, old, new: sc.mkdir(new),
+    "mknod": lambda sc, old, new: sc.mknod(new, stat.S_IFREG | 0o644),
+    "symlink": lambda sc, old, new: sc.symlink("target", new),
+    "link": lambda sc, old, new: sc.link(old, new),
+    "unlink": lambda sc, old, new: sc.unlink(old),
+    "rmdir": lambda sc, old, new: sc.rmdir(old),
+    "rename": lambda sc, old, new: sc.rename(old, new),
+}
+
+
+class TestSyntheticFilesystems:
+    def test_listed_entries_resolve_and_read_their_size(self, machine):
+        """Walk /proc and the three /sys surfaces to depth 3 on a host running
+        one container: every listed name resolves to the listed inode, every
+        regular file reads exactly its st_size bytes, unlisted names are
+        ENOENT."""
+        from repro.container import DockerEngine
+        from repro.container.image import ImageBuilder
+
+        image = (ImageBuilder("walked", "1.0").add_dir("/usr/sbin")
+                 .add_file("/usr/sbin/app", size=4096, mode=0o755)
+                 .entrypoint("/usr/sbin/app").build())
+        DockerEngine(machine).run(image, name="walked")
+        sc = machine.syscalls
+        walked = 0
+
+        def walk(path: str, depth: int) -> None:
+            nonlocal walked
+            with pytest.raises(FsError) as exc:
+                sc.lstat(f"{path}/not-listed-here")
+            assert exc.value.errno == errno.ENOENT
+            for name, ino, ftype in sc.readdir(path):
+                if name in (".", ".."):
+                    continue
+                child = f"{path}/{name}"
+                st = sc.lstat(child)
+                assert (st.st_ino, stat.S_IFMT(st.st_mode)) == (ino, ftype), child
+                walked += 1
+                if ftype == stat.S_IFREG:
+                    fd = sc.open(child)
+                    try:
+                        assert len(sc.read(fd, 1 << 20)) == st.st_size, child
+                    finally:
+                        sc.close(fd)
+                elif ftype == stat.S_IFDIR and depth < 3:
+                    walk(child, depth + 1)
+
+        for root, _entry in SYNTHETIC_MOUNTS.values():
+            walk(root, 1)
+        assert walked > 100
+
+    @pytest.mark.parametrize("mount,change", [
+        (mount, change) for mount in sorted(SYNTHETIC_MOUNTS)
+        for change in sorted(NAMESPACE_CHANGES)
+        # cgroupfs creates and removes cgroups with mkdir/rmdir.
+        if not (mount == "cgroup2" and change in ("mkdir", "rmdir"))])
+    def test_namespace_changes_are_refused(self, machine, mount, change):
+        """open(O_CREAT) is EACCES and every other namespace change EPERM, as
+        on Linux for an inode without the operation, and the listing stays
+        as it was."""
+        sc = machine.syscalls
+        root, victim = SYNTHETIC_MOUNTS[mount]
+        before = sc.listdir(root)
+        victim = victim or before[0]
+        with pytest.raises(FsError) as exc:
+            NAMESPACE_CHANGES[change](sc, f"{root}/{victim}", f"{root}/new-entry")
+        assert exc.value.errno == (errno.EACCES if change == "create" else errno.EPERM)
+        assert sc.listdir(root) == before
 
 
 class TestIpcObjects:

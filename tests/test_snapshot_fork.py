@@ -19,12 +19,16 @@ and perturb what is being compared.
 
 from __future__ import annotations
 
+import gc
 import pickle
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fs.constants import OpenFlags
+from repro.fs.tmpfs import TmpFS
+from repro.kernel.namespaces import NamespaceKind
 from repro.kernel.machine import boot, boot_forked
 from repro.sim.rng import DeterministicRandom
 
@@ -151,6 +155,38 @@ class TestSnapshotForkEquivalence:
         forked = boot_forked()
         assert _observe(fresh.kernel, fresh.rootfs) == \
             _observe(forked.kernel, forked.rootfs)
+
+    @pytest.mark.parametrize("boot_fn", [boot, boot_forked])
+    def test_mount_in_shared_clone_reaches_host(self, boot_fn):
+        """A mount made in a shared copy of the host namespace propagates to
+        the host, on a forked boot exactly as on a fresh one."""
+        machine = boot_fn()
+        cloned = machine.spawn_host_process(["/usr/bin/cloned"])
+        cloned.unshare(NamespaceKind.MNT)
+        machine.syscalls.makedirs("/srv/from-clone")
+        kernel = machine.kernel
+        cloned.mount(TmpFS("from-clone", kernel.clock, kernel.costs),
+                     "/srv/from-clone")
+        assert "/srv/from-clone" in [
+            m["mountpoint"] for m in machine.syscalls.mount_table()]
+
+    def test_forks_do_not_propagate_mounts_to_each_other(self):
+        a = boot_forked()
+        b = boot_forked()
+        cloned_in_a = a.spawn_host_process(["/usr/bin/cloned"])
+        cloned_in_a.unshare(NamespaceKind.MNT)
+        b.syscalls.makedirs("/srv/only-in-b")
+        b.syscalls.mount(TmpFS("only-in-b", b.kernel.clock, b.kernel.costs),
+                         "/srv/only-in-b")
+        assert "/srv/only-in-b" not in [
+            m["mountpoint"] for m in cloned_in_a.mount_table()]
+
+    def test_dropped_machine_is_freed(self):
+        machine = boot()
+        kernel = weakref.ref(machine.kernel)
+        del machine
+        gc.collect()
+        assert kernel() is None
 
     def test_forks_are_independent_of_each_other(self):
         a = boot_forked()
