@@ -8,8 +8,6 @@ hooks — the *semantics* of the Linux filesystem API live here, once.
 
 from __future__ import annotations
 
-import itertools
-
 from repro.fs.constants import FileMode, FallocateMode, RenameFlags, NAME_MAX
 from repro.fs.errors import FsError
 from repro.fs.inode import (
@@ -27,8 +25,6 @@ from repro.fs.stat import StatVfs
 from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.sim.trace import Tracer
-
-_fs_id_counter = itertools.count(1)
 
 ROOT_INO = 1
 
@@ -62,7 +58,7 @@ class Filesystem:
                  tracer: Tracer | None = None, capacity_bytes: int = 64 << 30,
                  max_inodes: int = 1 << 20) -> None:
         self.name = name
-        self.fs_id = next(_fs_id_counter)
+        self.fs_id = clock.next_id("fs")
         self.clock = clock
         self.costs = costs
         self.tracer = tracer or Tracer(enabled=False)

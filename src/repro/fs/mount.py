@@ -20,13 +20,11 @@ is built on.  The semantics modelled here follow ``mount_namespaces(7)``:
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 from repro.fs.errors import FsError
 from repro.fs.filesystem import Filesystem
-
-_mount_id_counter = itertools.count(1)
+from repro.sim.clock import VirtualClock
 
 
 class MountPropagation(enum.Enum):
@@ -49,7 +47,8 @@ class Mount:
     read_only: bool = False
     propagation: MountPropagation = MountPropagation.PRIVATE
     peer_group: "PeerGroup | None" = None
-    mount_id: int = field(default_factory=lambda: next(_mount_id_counter))
+    #: Unique within the machine; handed out by ``MountNamespace._new_mount``.
+    mount_id: int = field(kw_only=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Mount(id={self.mount_id}, fs={self.fs.name!r}, "
@@ -81,25 +80,29 @@ class PeerGroup:
         for ns, peer in self.members:
             if peer is parent:
                 continue
-            ns._attach(Mount(fs=new_mount.fs, root_ino=new_mount.root_ino,
-                             parent=peer, mountpoint_ino=new_mount.mountpoint_ino,
-                             mountpoint_path=new_mount.mountpoint_path,
-                             read_only=new_mount.read_only,
-                             propagation=MountPropagation.SHARED,
-                             peer_group=new_mount.peer_group))
+            ns._attach(ns._new_mount(fs=new_mount.fs, root_ino=new_mount.root_ino,
+                                     parent=peer, mountpoint_ino=new_mount.mountpoint_ino,
+                                     mountpoint_path=new_mount.mountpoint_path,
+                                     read_only=new_mount.read_only,
+                                     propagation=MountPropagation.SHARED,
+                                     peer_group=new_mount.peer_group))
 
 
 class MountNamespace:
     """A tree of mounts as seen by a set of processes."""
 
-    def __init__(self, root_fs: Filesystem | None = None) -> None:
+    def __init__(self, root_fs: Filesystem | None = None,
+                 clock: VirtualClock | None = None) -> None:
+        #: The machine's clock, the source of mount ids: the root
+        #: filesystem's, or ``clock`` for a namespace without a root (a clone).
+        self.clock = root_fs.clock if root_fs is not None else clock
         self.mounts: list[Mount] = []
         # (parent_mount_id, ino) -> stack of mounts, topmost last
         self._mounts_at: dict[tuple[int, int], list[Mount]] = {}
         self.root_mount: Mount | None = None
         if root_fs is not None:
-            self.root_mount = Mount(fs=root_fs, root_ino=root_fs.root_ino,
-                                    mountpoint_path="/")
+            self.root_mount = self._new_mount(fs=root_fs, root_ino=root_fs.root_ino,
+                                              mountpoint_path="/")
             self.mounts.append(self.root_mount)
 
     # ------------------------------------------------------------- inspection
@@ -155,11 +158,11 @@ class MountNamespace:
             raise FsError.enotdir(path)
         if not source_is_dir and mountpoint_inode.is_dir:
             raise FsError.enotdir(path)
-        new_mount = Mount(fs=fs, root_ino=root_ino or fs.root_ino,
-                          parent=parent_mount, mountpoint_ino=ino,
-                          mountpoint_path=path, read_only=read_only,
-                          propagation=parent_mount.propagation,
-                          peer_group=parent_mount.peer_group)
+        new_mount = self._new_mount(fs=fs, root_ino=root_ino or fs.root_ino,
+                                    parent=parent_mount, mountpoint_ino=ino,
+                                    mountpoint_path=path, read_only=read_only,
+                                    propagation=parent_mount.propagation,
+                                    peer_group=parent_mount.peer_group)
         self._attach(new_mount)
         if propagate and parent_mount.propagation == MountPropagation.SHARED:
             parent_mount.peer_group.propagate(parent_mount, new_mount)
@@ -196,11 +199,11 @@ class MountNamespace:
             # Only replicate children whose mountpoint is reachable from the
             # bound subtree root; binding from the subtree root itself (the
             # common case) reaches everything.
-            replica = Mount(fs=child.fs, root_ino=child.root_ino,
-                            parent=new_parent, mountpoint_ino=child.mountpoint_ino,
-                            mountpoint_path=f"{path}{child.mountpoint_path}",
-                            read_only=child.read_only,
-                            propagation=MountPropagation.PRIVATE)
+            replica = self._new_mount(fs=child.fs, root_ino=child.root_ino,
+                                      parent=new_parent, mountpoint_ino=child.mountpoint_ino,
+                                      mountpoint_path=f"{path}{child.mountpoint_path}",
+                                      read_only=child.read_only,
+                                      propagation=MountPropagation.PRIVATE)
             self._attach(replica)
             self._replicate_submounts(child, child.root_ino, replica,
                                       replica.mountpoint_path, candidates)
@@ -259,18 +262,18 @@ class MountNamespace:
         Shared mounts in the parent remain peers of the copies, private mounts
         become independent.
         """
-        new_ns = MountNamespace()
+        new_ns = MountNamespace(clock=self.clock)
         mapping: dict[int, Mount] = {}
         # Copy mounts in parent-before-child order.
         ordered = _topo_order(self.mounts, self.root_mount)
         for m in ordered:
-            copy = Mount(fs=m.fs, root_ino=m.root_ino,
-                         parent=mapping.get(m.parent.mount_id) if m.parent else None,
-                         mountpoint_ino=m.mountpoint_ino,
-                         mountpoint_path=m.mountpoint_path,
-                         read_only=m.read_only,
-                         propagation=m.propagation,
-                         peer_group=m.peer_group)
+            copy = new_ns._new_mount(fs=m.fs, root_ino=m.root_ino,
+                                     parent=mapping.get(m.parent.mount_id) if m.parent else None,
+                                     mountpoint_ino=m.mountpoint_ino,
+                                     mountpoint_path=m.mountpoint_path,
+                                     read_only=m.read_only,
+                                     propagation=m.propagation,
+                                     peer_group=m.peer_group)
             mapping[m.mount_id] = copy
             new_ns.mounts.append(copy)
             if m is self.root_mount:
@@ -283,6 +286,9 @@ class MountNamespace:
         return new_ns
 
     # ------------------------------------------------------------- internals
+    def _new_mount(self, **fields) -> Mount:
+        return Mount(mount_id=self.clock.next_id("mount"), **fields)
+
     def _attach(self, mount: Mount, already_listed: bool = False) -> None:
         if not already_listed:
             self.mounts.append(mount)

@@ -76,10 +76,13 @@ class _Extent:
     """A run of contiguous resident pages of one inode with one dirty flag.
 
     Extents are also the nodes of the cache's intrusive LRU list (``prev`` /
-    ``nxt``), kept sorted by ``(seq, start)`` ascending — oldest first.
+    ``nxt``), kept sorted by ``(seq, start)`` ascending — oldest first — and,
+    while their inode has an owning cgroup, of that owner's LRU sublist
+    (``oprev`` / ``onxt``; both None when unowned).
     """
 
-    __slots__ = ("ino", "start", "end", "dirty", "seq", "eid", "prev", "nxt")
+    __slots__ = ("ino", "start", "end", "dirty", "seq", "eid", "prev", "nxt",
+                 "oprev", "onxt")
 
     def __init__(self, ino: int, start: int, end: int, dirty: bool,
                  seq: int, eid: int) -> None:
@@ -91,6 +94,8 @@ class _Extent:
         self.eid = eid
         self.prev: _Extent | None = None
         self.nxt: _Extent | None = None
+        self.oprev: _Extent | None = None
+        self.onxt: _Extent | None = None
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -102,6 +107,10 @@ class _Extent:
 
 def _start(ext: _Extent) -> int:
     return ext.start
+
+
+def _lru_key(ext: _Extent) -> tuple[int, int]:
+    return ext.seq, ext.start
 
 
 def _bisect_start(lst: list[_Extent], x: int) -> int:
@@ -150,8 +159,8 @@ class PageCache:
         self.stats = PageCacheStats()
         #: ino -> list of disjoint extents sorted by start.
         self._by_ino: dict[int, list[_Extent]] = {}
-        #: eid -> live extent (size == live extent count, no stale entries).
-        self._live: dict[int, _Extent] = {}
+        #: Live extent count (the extents themselves hang off ``_by_ino``).
+        self._extents = 0
         #: Intrusive doubly-linked LRU list between two sentinels, sorted by
         #: ``(seq, start)`` ascending: ``_lru_head.nxt`` is the globally
         #: oldest extent, ``_lru_tail.prev`` the newest.  The order is
@@ -169,6 +178,18 @@ class PageCache:
         self._lru_tail = _Extent(-1, 0, 0, False, -1, -1)
         self._lru_head.nxt = self._lru_tail
         self._lru_tail.prev = self._lru_head
+        #: ino -> owning cgroup, written only by the memory controller
+        #: through :meth:`_set_owner` (the one copy of the ownership map).
+        self._owner: dict[int, object] = {}
+        #: Owning cgroup -> the sentinel of its LRU sublist: a circular
+        #: ``oprev``/``onxt`` list through every extent of the inodes it
+        #: owns, an order-preserving subsequence of the global LRU list (the
+        #: per-memcg ``lruvec``).  Fresh extents append at the owner's tail,
+        #: split remainders splice in after their origin and a refresh moves
+        #: the extent to the tail — the same three moves as the global list.
+        #: Memcg reclaim reads the heads of its subtree's sublists instead of
+        #: scanning the global list past other cgroups' extents.
+        self._sublists: dict[object, _Extent] = {}
         #: Per-inode dirty index: ino -> {eid: extent} holding only dirty
         #: extents, so ``clean``/``dirty_pages`` never scan clean state.
         self._dirty_exts: dict[int, dict[int, _Extent]] = {}
@@ -198,7 +219,7 @@ class PageCache:
 
     def extent_count(self) -> int:
         """Number of live extents (the quantity hot-path work scales with)."""
-        return len(self._live)
+        return self._extents
 
     def dirty_extent_count(self, ino: int | None = None) -> int:
         """Number of dirty extents, optionally restricted to one inode."""
@@ -279,6 +300,16 @@ class PageCache:
             ext.nxt = tail
             node.nxt = ext
             tail.prev = ext
+        if ext.oprev is not None:
+            sub = self._sublists[self._owner[ino]]
+            node = sub.oprev
+            if node is not ext:
+                ext.oprev.onxt = ext.onxt
+                ext.onxt.oprev = ext.oprev
+                ext.oprev = node
+                ext.onxt = sub
+                node.onxt = ext
+                sub.oprev = ext
         ext.seq = self._seqs.next()
         return ext
 
@@ -367,7 +398,7 @@ class PageCache:
         dropped = 0
         for ext in lst:
             dropped += len(ext)
-            del self._live[ext.eid]
+            self._extents -= 1
             self._unlink(ext)
         self._pages -= dropped
         self._memcg_delta(ino, -dropped)
@@ -395,7 +426,7 @@ class PageCache:
         if self.memcg is not None:
             self.memcg.cache_cleared(self)
         self._by_ino.clear()
-        self._live.clear()
+        self._extents = 0
         self._lru_head.nxt = self._lru_tail
         self._lru_tail.prev = self._lru_head
         self._dirty_exts.clear()
@@ -413,34 +444,39 @@ class PageCache:
         counter.value = max(counter.value, self._seqs.value)
         self._seqs = counter
 
-    def oldest_seq(self, ino_filter=None) -> int | None:
+    def oldest_seq(self, cgroups=None) -> int | None:
         """Sequence number of the LRU-oldest live extent (None when empty).
 
-        With ``ino_filter`` (a predicate over inode numbers), only extents of
-        matching inodes are considered — the per-cgroup reclaim order, found
-        by walking the LRU list from the old end (first match wins).
+        With ``cgroups`` (owning cgroups, e.g. a memcg subtree), only extents
+        of inodes those cgroups own are considered — the per-cgroup reclaim
+        order, read from the heads of their LRU sublists.
         """
-        if ino_filter is not None:
-            ext = self._oldest_matching(ino_filter)
+        if cgroups is not None:
+            ext = self._oldest_owned(cgroups)
             return None if ext is None else ext.seq
         ext = self._lru_head.nxt
         return None if ext is self._lru_tail else ext.seq
 
-    def _oldest_matching(self, ino_filter) -> "_Extent | None":
-        """The LRU-oldest live extent whose inode passes ``ino_filter``.
+    def _oldest_owned(self, cgroups) -> "_Extent | None":
+        """The LRU-oldest live extent owned by one of ``cgroups``.
 
-        The LRU list is sorted by ``(seq, start)``, so the first matching
-        node from the old end is the minimum — no full scan needed.
+        Each sublist is sorted like the global list, so its head is its
+        owner's oldest extent, and the smallest head seq is the overall
+        oldest: an inode has one owner and seqs are unique across inodes, so
+        no two heads tie.
         """
-        ext = self._lru_head.nxt
-        while ext is not self._lru_tail:
-            if ino_filter(ext.ino):
-                return ext
-            ext = ext.nxt
-        return None
+        best = None
+        sublists = self._sublists
+        for cgroup in cgroups:
+            sub = sublists.get(cgroup)
+            if sub is not None:
+                head = sub.onxt
+                if head is not sub and (best is None or head.seq < best.seq):
+                    best = head
+        return best
 
     def reclaim_oldest(self, max_pages: int, flush_inode,
-                       ino_filter=None) -> tuple[int, int]:
+                       cgroups=None) -> tuple[int, int]:
         """Evict up to ``max_pages`` from the LRU-oldest extent (reclaim path).
 
         A dirty victim is written back *first* through ``flush_inode(ino)``
@@ -452,17 +488,17 @@ class PageCache:
         :class:`PageCacheStats` — the reclaim coordinator keeps its own
         accounting and the engine charged the flush.
 
-        ``ino_filter`` restricts the victim choice to matching inodes (the
-        per-cgroup reclaim path); the global path keeps using the heap top.
+        ``cgroups`` restricts the victim to extents those cgroups own (the
+        per-cgroup reclaim path); the global path takes the LRU head.
         """
         if max_pages <= 0:
             return 0, 0
-        if ino_filter is None:
+        if cgroups is None:
             ext = self._lru_head.nxt
             if ext is self._lru_tail:
                 return 0, 0
         else:
-            ext = self._oldest_matching(ino_filter)
+            ext = self._oldest_owned(cgroups)
             if ext is None:
                 return 0, 0
         was_dirty = ext.dirty
@@ -481,7 +517,7 @@ class PageCache:
         self._memcg_delta(ext.ino, -take)
         ext.start += take
         if ext.start >= ext.end:
-            del self._live[ext.eid]
+            self._extents -= 1
             self._unlink(ext)
             lst.pop(i)
             if not lst:
@@ -493,6 +529,60 @@ class PageCache:
         applies the per-cgroup limits, then the kernel-wide budget)."""
         if self.pressure is not None:
             self.pressure.balance()
+
+    # ------------------------------------------------------------- ownership
+    def _set_owner(self, ino: int, owner) -> None:
+        """Make ``owner`` (a cgroup, or None) the owner of ``ino``'s pages.
+
+        The memory controller calls this whenever ownership changes; the
+        inode's extents leave the old owner's sublist and join the new one in
+        ``(seq, start)`` position.  They are merged newest first from the
+        sublist's tail, so an inode whose pages were just created (the usual
+        first charge) costs one step per extent.
+        """
+        old = self._owner.get(ino)
+        if old is owner:
+            return
+        exts = self._by_ino.get(ino, ())
+        if old is not None:
+            for ext in exts:
+                ext.oprev.onxt = ext.onxt
+                ext.onxt.oprev = ext.oprev
+                ext.oprev = ext.onxt = None
+            sub = self._sublists[old]
+            if sub.onxt is sub:
+                del self._sublists[old]
+            del self._owner[ino]
+        if owner is None:
+            return
+        self._owner[ino] = owner
+        sub = self._sublists.get(owner)
+        if sub is None:
+            sub = self._sublists[owner] = _Extent(-1, 0, 0, False, -1, -1)
+            sub.oprev = sub.onxt = sub
+        cursor = sub.oprev
+        if len(exts) > 1:
+            exts = sorted(exts, key=_lru_key, reverse=True)
+        for ext in exts:
+            # Other inodes' seqs never equal ours, and the sentinel's -1
+            # stops the walk.
+            while cursor.seq > ext.seq:
+                cursor = cursor.oprev
+            ext.oprev = cursor
+            ext.onxt = cursor.onxt
+            cursor.onxt.oprev = ext
+            cursor.onxt = ext
+
+    def _disown_all(self) -> None:
+        """Forget every owner (the controller released this cache)."""
+        for sub in self._sublists.values():
+            ext = sub.onxt
+            while ext is not sub:
+                nxt = ext.onxt
+                ext.oprev = ext.onxt = None
+                ext = nxt
+        self._sublists.clear()
+        self._owner.clear()
 
     # ------------------------------------------------------------- internals
     def _memcg_delta(self, ino: int, delta_pages: int) -> None:
@@ -541,7 +631,7 @@ class PageCache:
                 ext.end = lo
                 i += 1
             elif not right:
-                del self._live[ext.eid]
+                self._extents -= 1
                 self._unlink(ext)
                 if ext.dirty:
                     self._drop_dirty_ext(ino, ext.eid)
@@ -605,14 +695,23 @@ class PageCache:
         eid = self._next_eid
         self._next_eid += 1
         ext = _Extent(ino, start, end, dirty, seq, eid)
-        self._live[eid] = ext
+        self._extents += 1
         # Fresh seqs are strictly larger than every live one (MRU append);
         # seq-inheriting splits splice right after their origin (``after``).
+        # Both moves hold in the owner's sublist too, which ``after`` (an
+        # extent of the same inode) is already on.
         node = self._lru_tail.prev if after is None else after
         ext.prev = node
         ext.nxt = node.nxt
         node.nxt.prev = ext
         node.nxt = ext
+        owner = self._owner.get(ino)
+        if owner is not None:
+            node = self._sublists[owner].oprev if after is None else after
+            ext.oprev = node
+            ext.onxt = node.onxt
+            node.onxt.oprev = ext
+            node.onxt = ext
         return ext
 
     @staticmethod
@@ -620,6 +719,10 @@ class PageCache:
         ext.prev.nxt = ext.nxt
         ext.nxt.prev = ext.prev
         ext.prev = ext.nxt = None
+        if ext.oprev is not None:
+            ext.oprev.onxt = ext.onxt
+            ext.onxt.oprev = ext.oprev
+            ext.oprev = ext.onxt = None
 
     def _note_dirty_pages(self, ino: int, delta: int) -> None:
         count = self._dirty_count.get(ino, 0) + delta
@@ -663,7 +766,7 @@ class PageCache:
             self._memcg_delta(ext.ino, -take)
             ext.start += take
             if ext.start >= ext.end:
-                del self._live[ext.eid]
+                self._extents -= 1
                 self._unlink(ext)
                 if ext.dirty:
                     self._drop_dirty_ext(ext.ino, ext.eid)

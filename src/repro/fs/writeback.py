@@ -603,38 +603,35 @@ class ReclaimStats:
 
 
 def reclaim_lru(filesystems: "list[Filesystem]", excess: Callable[[], int],
-                stats, ino_filters: dict | None = None) -> int:
+                stats, cgroups: "list | None" = None) -> int:
     """The one LRU reclaim loop, shared by global and per-cgroup reclaim.
 
     While ``excess()`` is positive, the victim is the LRU-oldest extent
     across ``filesystems`` (their caches share one sequence counter);
-    ``ino_filters`` maps a page cache to the inode predicate restricting its
-    victims (the memcg's owned inodes).  Clean pages are dropped, dirty
-    pages are flushed through the owning engine first
-    (``WB_REASON_RECLAIM``) — the kernel's shrink_page_list order.  A flush
-    can change the excess (it shrinks ``Dirty`` and so grows the global
-    budget), so it is re-read every iteration.  Stops when a pass makes no
-    progress; ``stats`` (:class:`ReclaimStats` or a cgroup's ``MemcgStats``)
-    gets the page counts, one ``reclaims`` tick and the bytes freed, which
-    are returned.
+    ``cgroups`` (a memcg subtree) restricts the victims to the extents
+    those cgroups own, read from each cache's per-owner LRU sublists.
+    Clean pages are dropped, dirty pages are flushed through the owning
+    engine first (``WB_REASON_RECLAIM``) — the kernel's shrink_page_list
+    order.  A flush can change the excess (it shrinks ``Dirty`` and so
+    grows the global budget), so it is re-read every iteration.  Stops when
+    a pass makes no progress; ``stats`` (:class:`ReclaimStats` or a cgroup's
+    ``MemcgStats``) gets the page counts, one ``reclaims`` tick and the
+    bytes freed, which are returned.
     """
     freed = 0
+    caches = [(fs, fs.page_cache) for fs in filesystems
+              if getattr(fs, "page_cache", None) is not None]
     while True:
         over = excess()
         if over <= 0:
             break
-        victim = victim_filter = best_seq = None
-        for fs in filesystems:
-            cache = getattr(fs, "page_cache", None)
-            if cache is None:
-                continue
-            ino_filter = None if ino_filters is None else ino_filters[cache]
-            seq = cache.oldest_seq(ino_filter)
+        victim = cache = best_seq = None
+        for fs, candidate in caches:
+            seq = candidate.oldest_seq(cgroups)
             if seq is not None and (best_seq is None or seq < best_seq):
-                best_seq, victim, victim_filter = seq, fs, ino_filter
+                best_seq, victim, cache = seq, fs, candidate
         if victim is None:
             break
-        cache = victim.page_cache
         engine = getattr(victim, "writeback", None)
 
         def flush_inode(ino: int, _engine=engine) -> None:
@@ -642,7 +639,7 @@ def reclaim_lru(filesystems: "list[Filesystem]", excess: Callable[[], int],
                 _engine.flush(ino, reason=WB_REASON_RECLAIM)
 
         clean, flushed = cache.reclaim_oldest(-(-over // cache.page_size),
-                                              flush_inode, victim_filter)
+                                              flush_inode, cgroups)
         if clean == 0 and flushed == 0:
             break
         stats.pages_dropped += clean

@@ -145,6 +145,9 @@ class Kernel:
             DEV_URANDOM_RDEV: UrandomDevice,
         }
         self.host_namespaces: dict[NamespaceKind, Namespace] = {}
+        #: Every ``/proc`` instance (each registers itself on creation), so an
+        #: exiting process's ``/proc/<pid>`` inodes are dropped from all.
+        self.procfs_instances: list = []
 
     # ------------------------------------------------------------- processes
     def cpu_controller(self, rng=None, timeslice_ns: int | None = None):
@@ -236,6 +239,13 @@ class Kernel:
                 child.ppid = 1
         proc.state = "dead"
         self.processes.pop(proc.pid, None)
+        for procfs in self.procfs_instances:
+            procfs.forget(proc.pid)
+        mounts = proc.mnt_ns
+        if all(other.mnt_ns is not mounts for other in self.processes.values()):
+            # The mount namespace died with its last process: its mounts
+            # leave their peer groups, so no later mount is copied into it.
+            mounts.make_all_private()
 
     def find_process(self, pid: int) -> Process:
         """Look up a live process by global pid."""

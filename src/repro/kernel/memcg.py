@@ -19,10 +19,15 @@ mechanisms the conformance wave pins:
   the charge path evicts the LRU-oldest extents *owned by that cgroup's
   subtree* across all registered filesystems, flushing dirty victims through
   the owning engine first (``WB_REASON_RECLAIM``).  It is the global reclaim
-  loop, :func:`repro.fs.writeback.reclaim_lru`, restricted to the subtree's
-  inodes; :meth:`repro.fs.writeback.VmSysctl.balance` runs the memcg pass
-  first, then enforces the kernel-wide budget on whatever the per-cgroup
-  limits let through.
+  loop, :func:`repro.fs.writeback.reclaim_lru`, given the subtree's owning
+  cgroups: every page cache keeps one LRU sublist per owning cgroup (the
+  per-memcg ``lruvec``), so the victim is the oldest of those sublists'
+  heads, found without scanning other tenants' pages.  The ownership map
+  lives in the page cache; this controller changes it through
+  ``PageCache._set_owner``, which re-links the inode's extents.
+  :meth:`repro.fs.writeback.VmSysctl.balance` runs the memcg pass first,
+  then enforces the kernel-wide budget on whatever the per-cgroup limits let
+  through.
 * **write throttling** — a writer dirtying data while ``memory.current`` sits
   above ``memory.high`` is stalled for a deterministic
   ``bytes * throttle_ns_per_byte`` of virtual time (the shape of Linux's
@@ -39,7 +44,7 @@ was.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.fs.writeback import reclaim_lru
 from repro.kernel.cgroups import Cgroup, CgroupHierarchy, CgroupIoStat
@@ -85,12 +90,13 @@ class MemcgController:
         #: The ``VmSysctl`` whose registered filesystems memcg reclaim walks;
         #: set when that registry forwards a filesystem here.
         self.vm: "VmSysctl | None" = None
-        #: cache -> {ino -> owning cgroup} / {ino -> charged bytes}.  Keyed
-        #: by the cache/engine objects themselves (identity hash), not by
-        #: ``id()``: a kernel snapshot pickles the whole object graph and
+        #: cache -> {ino -> charged bytes}; the owning cgroup of each inode
+        #: is kept by the cache itself (``PageCache._owner``, written through
+        #: ``PageCache._set_owner``), beside the LRU sublists it orders.
+        #: Keyed by the cache/engine objects themselves (identity hash), not
+        #: by ``id()``: a kernel snapshot pickles the whole object graph and
         #: raw ids do not survive the copy, while object keys are remapped
         #: consistently by the pickle memo.
-        self._cache_owner: dict["PageCache", dict[int, Cgroup]] = {}
         self._cache_charged: dict["PageCache", dict[int, int]] = {}
         #: engine -> {ino -> owning cgroup} / {ino -> charged dirty bytes}.
         self._dirty_owner: dict["WritebackEngine", dict[int, Cgroup]] = {}
@@ -194,18 +200,16 @@ class MemcgController:
         """Page-cache residency of ``ino`` changed by ``delta_bytes``."""
         if delta_bytes == 0:
             return
-        owners = self._cache_owner.setdefault(cache, {})
+        owner = cache._owner.get(ino)
         charged = self._cache_charged.setdefault(cache, {})
         if delta_bytes > 0:
-            owner = owners.get(ino)
             if owner is None:
                 owner = self._current_cgroup()
-                owners[ino] = owner
+                cache._set_owner(ino, owner)
             charged[ino] = charged.get(ino, 0) + delta_bytes
             if self._walk(owner, delta_bytes, dirty=False):
                 self._pending[owner] = None
             return
-        owner = owners.get(ino)
         if owner is None:
             return                       # pages predating the memcg wiring
         have = charged.get(ino, 0)
@@ -216,16 +220,17 @@ class MemcgController:
             charged[ino] = have - take
         else:
             charged.pop(ino, None)
-            owners.pop(ino, None)
+            cache._set_owner(ino, None)
         self._walk(owner, -take, dirty=False)
 
     def cache_cleared(self, cache: "PageCache") -> None:
         """The whole cache was invalidated: release every charge it held."""
-        owners = self._cache_owner.pop(cache, {})
+        owners = cache._owner
         for ino, nbytes in self._cache_charged.pop(cache, {}).items():
             owner = owners.get(ino)
             if owner is not None:
                 self._walk(owner, -nbytes, dirty=False)
+        cache._disown_all()
 
     # ------------------------------------------------------------ dirty + stall
     def note_dirty(self, engine: "WritebackEngine", ino: int, nbytes: int) -> None:
@@ -343,25 +348,28 @@ class MemcgController:
                 self._reclaim(node, limit)
             node = node.parent
 
-    def _owned_pred(self, cache: "PageCache", node: Cgroup) -> Callable[[int], bool]:
-        """An O(1)-per-extent membership test for "``ino`` is owned by
-        ``node``'s subtree" in the given cache.
+    @staticmethod
+    def _subtree(node: Cgroup, filesystems: "list[Filesystem]") -> list[Cgroup]:
+        """``node`` and the cgroups below it that own pages in the page
+        caches of ``filesystems``.
 
-        The owned set is materialised once (one ancestor walk per owned
-        inode, not per live extent): ownership cannot grow during a reclaim
-        pass — no charges happen inside it — and inodes that become fully
-        evicted simply stop having live extents, so a stale member is
-        harmless.
+        Membership follows each owner's parent chain, not ``node.children``:
+        a removed cgroup keeps its charges on its ancestors, so its pages stay
+        theirs to reclaim (as ``mem_cgroup_iter`` visits dying memcgs).
         """
-        owned = set()
-        for ino, owner in self._cache_owner.get(cache, {}).items():
+        owners: dict[Cgroup, object] = {}
+        for fs in filesystems:
+            cache = getattr(fs, "page_cache", None)
+            if cache is not None:
+                owners.update(cache._sublists)
+        subtree = []
+        for owner in owners:
             walk = owner
-            while walk is not None:
-                if walk is node:
-                    owned.add(ino)
-                    break
+            while walk is not None and walk is not node:
                 walk = walk.parent
-        return owned.__contains__
+            if walk is not None:
+                subtree.append(owner)
+        return subtree
 
     def _reclaim(self, node: Cgroup, limit: int) -> None:
         """Evict the LRU-oldest pages owned by ``node``'s subtree until its
@@ -369,11 +377,10 @@ class MemcgController:
         t0 = self.clock.now_ns
         stats = node.memcg_stats
         filesystems = self.vm.filesystems()
-        owned = {fs.page_cache: self._owned_pred(fs.page_cache, node)
-                 for fs in filesystems
-                 if getattr(fs, "page_cache", None) is not None}
+        # Ownership cannot grow during the pass (reclaim charges nothing),
+        # so the subtree is gathered once.
         freed = reclaim_lru(filesystems, lambda: node.mem_cache_bytes - limit,
-                            stats, owned)
+                            stats, self._subtree(node, filesystems))
         delta = self.clock.now_ns - t0
         stats.reclaim_cost_ns += delta
         if delta > 0:

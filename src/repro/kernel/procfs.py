@@ -70,6 +70,7 @@ class ProcFS(SyntheticFS):
     def __init__(self, name: str, kernel: "Kernel", pid_ns: PidNamespace) -> None:
         super().__init__(name, kernel, Entry("root", None, "/"))
         self.pid_ns = pid_ns
+        kernel.procfs_instances.append(self)
 
     # ------------------------------------------------------------- the tree
     def _dynamic_child(self, parent: Entry, name: str) -> Entry | None:

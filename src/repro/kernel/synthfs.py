@@ -4,7 +4,7 @@
 A synthetic filesystem stores nothing.  Each inode stands for an
 :class:`Entry` — what it shows — and every read renders that entry afresh
 from live kernel state.  An entry is interned on first sight, so it keeps one
-inode number for as long as the filesystem lives (or until :meth:`_forget`
+inode number for as long as the filesystem lives (or until :meth:`forget`
 drops the kernel object it shows).
 
 A subclass describes its tree once:
@@ -74,6 +74,9 @@ class SyntheticFS(Filesystem):
         self.kernel = kernel
         self._entries: dict[int, Entry] = {self.root_ino: root}
         self._inos: dict[Entry, int] = {}
+        #: owner -> its interned entries, so :meth:`forget` costs nothing
+        #: for an object that was never looked up.
+        self._owned: dict[object, list[Entry]] = {}
 
     # ------------------------------------------------------------- the tree
     def _dynamic_child(self, parent: Entry, name: str) -> Entry | None:
@@ -108,11 +111,12 @@ class SyntheticFS(Filesystem):
         self._inodes[ino] = inode
         self._entries[ino] = entry
         self._inos[entry] = ino
+        self._owned.setdefault(entry.owner, []).append(entry)
         return inode
 
-    def _forget(self, owner: object) -> None:
+    def forget(self, owner: object) -> None:
         """Drop the inodes of every entry showing ``owner``, a removed object."""
-        for entry in [e for e in self._inos if e.owner == owner]:
+        for entry in self._owned.pop(owner, ()):
             ino = self._inos.pop(entry)
             self._inodes.pop(ino, None)
             self._entries.pop(ino, None)

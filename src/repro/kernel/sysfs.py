@@ -170,7 +170,7 @@ class CgroupFS(SyntheticFS):
         child_path = self._child_path(parent.owner, name)
         # EBUSY while member processes or children remain, as in Linux.
         self.kernel.cgroups.remove(child_path)
-        self._forget(child_path)
+        self.forget(child_path)
 
     def _generate(self, entry: Entry) -> bytes:
         cgroup = self._cgroup(entry.owner)

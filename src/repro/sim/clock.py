@@ -49,6 +49,8 @@ class VirtualClock:
         self._timer_seq = 0
         self._next_deadline = _NEVER
         self._dispatching = False
+        #: kind -> last serial number handed out by :meth:`next_id`.
+        self._serials: dict[str, int] = {}
 
     @property
     def now_ns(self) -> int:
@@ -83,6 +85,19 @@ class VirtualClock:
         if self._now_ns >= self._next_deadline:
             self._fire_due()
         return self._now_ns
+
+    def next_id(self, kind: str) -> int:
+        """The next serial number of ``kind`` (``"fs"``, ``"mount"``), from 1.
+
+        Filesystem and mount ids are numbered per simulated machine, here
+        rather than in module globals: every component of a machine holds its
+        clock, and the clock is pickled with the machine's snapshot, so an
+        image loaded in a fresh interpreter goes on numbering where it left
+        off instead of handing out ids it already uses.
+        """
+        value = self._serials.get(kind, 0) + 1
+        self._serials[kind] = value
+        return value
 
     # ------------------------------------------------------------------ timers
     def schedule(self, deadline_ns: int, callback: Callable[[int], None]) -> ClockTimer:

@@ -178,7 +178,7 @@ class TestPageCache:
         # One live extent per inode, one LRU node per live extent, and a
         # dirty index covering exactly the dirty extents — nothing stale.
         assert cache.extent_count() == 4
-        assert len(cache._live) == 4
+        assert sum(len(lst) for lst in cache._by_ino.values()) == 4
         lru_nodes = 0
         node = cache._lru_head.nxt
         while node is not cache._lru_tail:
@@ -188,7 +188,7 @@ class TestPageCache:
         assert sum(len(d) for d in cache._dirty_exts.values()) == 4
         # The refreshed extents' sequence numbers stay totally ordered and
         # the LRU list agrees with them (the heap's ordering contract).
-        seqs = [ext.seq for ext in cache._live.values()]
+        seqs = [ext.seq for lst in cache._by_ino.values() for ext in lst]
         assert len(set(seqs)) == len(seqs)
 
     def test_eviction_order_matches_seq_heap_reference(self):
@@ -209,7 +209,7 @@ class TestPageCache:
                 cache.write(ino, page * 4096, n * 4096)
             # The next capacity eviction starts at the extent a seq-heap
             # (rebuilt fresh, i.e. with perfect lazy deletion) would pop.
-            live = list(cache._live.values())
+            live = [ext for lst in cache._by_ino.values() for ext in lst]
             if live:
                 heap = [(ext.seq, ext.start, ext.eid) for ext in live]
                 heapq.heapify(heap)

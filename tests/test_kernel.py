@@ -88,6 +88,29 @@ class TestNamespaces:
         assert "/mnt/extra" in child_mounts
         assert "/mnt/extra" not in host_mounts
 
+    def test_dead_mount_namespaces_leave_their_peer_groups(self, machine):
+        """A host mount made after unsharing processes exited is copied
+        into no namespace of theirs, only into live peers."""
+        from repro.fs.tmpfs import TmpFS
+        kernel = machine.kernel
+        peers = machine.init.mnt_ns.root_mount.peer_group
+        members_before = len(peers.members)
+        dead = []
+        for i in range(20):
+            child = machine.spawn_host_process([f"/usr/bin/unsharer-{i}"])
+            child.unshare(NamespaceKind.MNT)
+            dead.append(child.process.mnt_ns)
+            child.exit()
+        live = machine.spawn_host_process(["/usr/bin/still-running"])
+        live.unshare(NamespaceKind.MNT)
+        assert len(peers.members) == members_before + 1
+        machine.syscalls.makedirs("/srv/after-exit")
+        extra = TmpFS("after-exit", kernel.clock, kernel.costs)
+        machine.syscalls.mount(extra, "/srv/after-exit")
+        for ns in dead:
+            assert all(m.fs is not extra for m in ns.mounts)
+        assert "/srv/after-exit" in [m["mountpoint"] for m in live.mount_table()]
+
     def test_setns_joins_target_namespace(self, machine, syscalls):
         target = machine.spawn_host_process(["/usr/bin/target"])
         target.unshare(NamespaceKind.UTS)
@@ -177,6 +200,20 @@ class TestProcfs:
     def test_proc_listing_contains_pids(self, machine, syscalls):
         names = machine.syscalls.listdir("/proc")
         assert str(syscalls.process.pid) in names
+
+    def test_exited_pids_leave_no_inodes(self, machine):
+        """``/proc/<pid>`` inodes are dropped when the process is reaped."""
+        sc = machine.syscalls
+        procfs = machine.procfs
+        before = len(procfs._inodes)
+        for i in range(50):
+            child = machine.spawn_host_process([f"/usr/bin/short-lived-{i}"])
+            pid = child.process.pid
+            assert "status" in sc.listdir(f"/proc/{pid}")
+            assert "mnt" in sc.listdir(f"/proc/{pid}/ns")
+            assert len(procfs._inodes) > before
+            child.exit()
+        assert len(procfs._inodes) == before
 
 
 class TestProcSysVm:

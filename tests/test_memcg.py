@@ -23,7 +23,7 @@ from __future__ import annotations
 import errno
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fs.constants import OpenFlags
@@ -436,3 +436,142 @@ class TestNoLimitEquivalence:
             assert root.mem_dirty_bytes == wired[2].dirty_bytes_total()
             assert root.memcg_stats.pages_reclaimed == 0
             assert root.memcg_stats.throttle_stall_ns == 0
+
+
+# ---------------------------------------------------------------------------
+# Property: the per-cgroup LRU sublists agree with a scan of the global LRU
+# ---------------------------------------------------------------------------
+def _oldest_matching(cache, ino_filter):
+    """The reclaim victim as found before the sublists existed: the first
+    extent from the global LRU head whose inode passes ``ino_filter``."""
+    ext = cache._lru_head.nxt
+    while ext is not cache._lru_tail:
+        if ino_filter(ext.ino):
+            return ext
+        ext = ext.nxt
+    return None
+
+
+def _under(cgroup, node) -> bool:
+    while cgroup is not None:
+        if cgroup is node:
+            return True
+        cgroup = cgroup.parent
+    return False
+
+
+class TestPerCgroupLru:
+    """Every owner's sublist is the global LRU restricted to the inodes it
+    owns, so the subtree victim read from the sublist heads is the extent
+    the old filtered scan of the global list found."""
+
+    PATHS = ("/", "/a", "/a/b", "/a/b/c", "/d")
+    _pid = st.integers(min_value=1, max_value=len(PATHS))
+    _ino = st.integers(min_value=1, max_value=6)
+    # Few distinct offsets and lengths, so ranges often hit an existing
+    # extent exactly (the refresh fast path) as well as splitting one.
+    _page = st.sampled_from((0, 2, 4, 8, 12))
+    _pages = st.sampled_from((1, 2, 4, 8))
+    _ops = st.lists(st.one_of(
+        st.tuples(st.just("write"), _pid, _ino, _page, _pages),
+        st.tuples(st.just("read"), _pid, _ino, _page, _pages),
+        st.tuples(st.just("invalidate"), _ino),
+        st.tuples(st.just("invalidate_range"), _ino, _page, _pages),
+        st.tuples(st.just("reclaim"), _pid, _pages),
+        st.tuples(st.just("drop")),
+        st.tuples(st.just("rewire")),
+    ), min_size=1, max_size=40)
+    _prewired = st.lists(st.tuples(st.sampled_from(["write", "read"]),
+                                   _ino, _page, _pages), max_size=6)
+
+    @staticmethod
+    def _check(fs, controller, cgroups):
+        cache = fs.page_cache
+        owner = cache._owner
+        # The ownership map is the charge map's key set: an inode is owned
+        # exactly while memcg holds a charge for it.
+        assert set(owner) == set(controller._cache_charged.get(cache, {}))
+        order = []
+        ext = cache._lru_head.nxt
+        while ext is not cache._lru_tail:
+            order.append(ext)
+            if ext.ino not in owner:
+                assert ext.oprev is None and ext.onxt is None
+            ext = ext.nxt
+        for cgroup, sub in cache._sublists.items():
+            assert sub.onxt is not sub          # empty sublists are dropped
+            chain = []
+            ext = sub.onxt
+            while ext is not sub:
+                assert ext.onxt.oprev is ext
+                chain.append(ext)
+                ext = ext.onxt
+            keys = [(e.seq, e.start) for e in chain]
+            assert keys == sorted(keys)
+            assert chain == [e for e in order if owner.get(e.ino) is cgroup]
+        assert set(cache._sublists) == set(owner.values())
+        for node in cgroups:
+            subtree = MemcgController._subtree(node, [fs])
+            want = _oldest_matching(
+                cache, lambda ino, node=node: _under(owner.get(ino), node))
+            assert cache._oldest_owned(subtree) is want
+            assert cache.oldest_seq(subtree) == (None if want is None else want.seq)
+
+    @given(_prewired, _ops)
+    @settings(max_examples=80, deadline=None)
+    # An exact re-access moves the extent to its owner's tail.
+    @example([], [("write", 2, 1, 0, 4), ("write", 2, 2, 0, 4),
+                  ("write", 2, 1, 0, 4)])
+    # A split remainder keeps its origin's place in the sublist.
+    @example([], [("write", 2, 1, 0, 8), ("write", 2, 2, 0, 4),
+                  ("read", 3, 1, 2, 2)])
+    # A pre-wiring extent joins its new owner's sublist ahead of newer ones.
+    @example([("write", 1, 0, 4)], [("write", 2, 3, 0, 4),
+                                    ("write", 2, 1, 8, 4)])
+    def test_sublists_match_a_global_lru_scan(self, prewired, ops):
+        clock = VirtualClock()
+        vm = VmSysctl()
+        fs = _MemcgFs("lru", clock)
+        hierarchy = CgroupHierarchy()
+        controller = MemcgController(hierarchy, clock)
+        vm.memcg = controller
+        cgroups = [hierarchy.attach(pid, path)
+                   for pid, path in enumerate(self.PATHS, start=1)]
+        page = fs.PAGE
+        # Pages made resident before the controller is wired in are owned
+        # by nobody until their inode's next charge.
+        for kind, ino, first, pages in prewired:
+            getattr(fs, kind)(ino, first * page, pages * page)
+        vm.register_fs(fs)
+        self._check(fs, controller, cgroups)
+        for op in ops:
+            kind = op[0]
+            if kind in ("write", "read"):
+                _, pid, ino, first, pages = op
+                controller.set_current(pid)
+                getattr(fs, kind)(ino, first * page, pages * page)
+            elif kind == "invalidate":
+                fs.page_cache.invalidate(op[1])
+            elif kind == "invalidate_range":
+                _, ino, first, pages = op
+                fs.page_cache.invalidate_range(ino, first, first + pages)
+            elif kind == "reclaim":
+                _, pid, pages = op
+                node = cgroups[pid - 1]
+                limit = max(page, node.mem_cache_bytes - pages * page)
+                node.limits.memory_limit_bytes = limit
+                controller.enforce(node)
+                node.limits.memory_limit_bytes = None
+                assert node.mem_cache_bytes <= limit or \
+                    not MemcgController._subtree(node, [fs])
+            elif kind == "drop":
+                fs.drop_caches(1)
+            else:
+                # Unwiring releases every charge with the pages still
+                # resident; they are "pre-memcg" pages once re-wired.
+                vm.unregister_fs(fs)
+                vm.register_fs(fs)
+            self._check(fs, controller, cgroups)
+        root = cgroups[0]
+        assert root.mem_cache_bytes == sum(
+            controller._cache_charged.get(fs.page_cache, {}).values())

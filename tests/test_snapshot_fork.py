@@ -20,12 +20,18 @@ and perturb what is being compared.
 from __future__ import annotations
 
 import gc
+import json
+import os
 import pickle
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro
 from repro.fs.constants import OpenFlags
 from repro.fs.tmpfs import TmpFS
 from repro.kernel.namespaces import NamespaceKind
@@ -212,3 +218,52 @@ class TestSnapshotForkEquivalence:
         machine = boot_forked()
         with pytest.raises((pickle.PicklingError, AttributeError)):
             machine.kernel.snapshot(machine, lambda: None)
+
+
+#: ``save PATH`` boots a machine and pickles it; ``load PATH`` loads it,
+#: mounts once in the host namespace and once in an unshared copy, and
+#: prints every mount id and the id of every distinct mounted filesystem.
+_IMAGE_SCRIPT = """
+import json, pickle, sys
+from repro.fs.tmpfs import TmpFS
+from repro.kernel.machine import boot
+from repro.kernel.namespaces import NamespaceKind
+mode, path = sys.argv[1:3]
+if mode == "save":
+    with open(path, "wb") as image:
+        pickle.dump(boot(), image, protocol=pickle.HIGHEST_PROTOCOL)
+    sys.exit(0)
+with open(path, "rb") as image:
+    machine = pickle.load(image)
+kernel, host = machine.kernel, machine.syscalls
+host.makedirs("/srv/late")
+host.mount(TmpFS("late", kernel.clock, kernel.costs), "/srv/late")
+clone = machine.spawn_host_process(["/usr/bin/clone"])
+clone.unshare(NamespaceKind.MNT)
+clone.makedirs("/srv/later")
+clone.mount(TmpFS("later", kernel.clock, kernel.costs), "/srv/later")
+mounts = host.process.mnt_ns.mounts + clone.process.mnt_ns.mounts
+filesystems = list({id(m.fs): m.fs for m in mounts}.values())
+print(json.dumps({"mount_ids": [m.mount_id for m in mounts],
+                  "fs_ids": [fs.fs_id for fs in filesystems]}))
+"""
+
+
+def test_unpickled_image_hands_out_unused_ids(tmp_path):
+    """Mount and filesystem ids are numbered per machine and pickled with
+    it, so a machine saved by one interpreter and loaded by another never
+    hands out an id it already uses."""
+    image = str(tmp_path / "machine.pickle")
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+
+    def run(mode: str) -> str:
+        return subprocess.run(
+            [sys.executable, "-c", _IMAGE_SCRIPT, mode, image],
+            capture_output=True, text=True, env=env, check=True,
+            timeout=120).stdout
+
+    run("save")
+    ids = json.loads(run("load").splitlines()[-1])
+    assert len(ids["mount_ids"]) > 2
+    assert len(set(ids["mount_ids"])) == len(ids["mount_ids"])
+    assert len(set(ids["fs_ids"])) == len(ids["fs_ids"])
